@@ -3,7 +3,6 @@
 The package is organized the way the pieces layer:
 
 - ``psn.tensor``: numpy-backed tensors + reverse-mode tape
-- ``psn.scan``: work-efficient prefix/linear-recurrence scan
 - ``psn.neurons``: surrogate gradients, serial IF/LIF, and the parallel family
 - ``psn.training`` / ``psn.data``: toy training harness and datasets
 - ``psn.bench`` / ``psn.verify``: timing/memory experiments and equivalence suites

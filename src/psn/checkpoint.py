@@ -25,11 +25,9 @@ crash never leaves a half-written checkpoint at the target path.
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ContractError, ParseError
 
 _MAGIC = b"PSNCKPT v1\n"
@@ -57,20 +55,8 @@ def save_checkpoint(path, arrays):
         header.append(f"{name} {shape} {off} {a.nbytes}\n".encode())
     header.append(b"end\n")
 
-    dirpath = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirpath, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(b"".join(header))
-            for _, a, _ in entries:
-                f.write(a.astype("<f4", copy=False).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    payload = [a.astype("<f4", copy=False).tobytes() for _, a, _ in entries]
+    write_atomic(path, b"".join(header + payload))
 
 
 def load_checkpoint(path):
@@ -104,6 +90,8 @@ def load_checkpoint(path):
         raise ParseError(f"bad entry count {count}", offset=pos)
 
     entries = []
+    names = set()
+    packed = 0  # where the next entry must start: header order, no gaps
     for _ in range(count):
         line_start = pos
         fields = read_line().split()
@@ -119,6 +107,17 @@ def load_checkpoint(path):
         except ValueError:
             raise ParseError("malformed header entry",
                              offset=line_start) from None
+        if any(d < 0 for d in shape) or length < 0:
+            raise ParseError(f"entry {name!r}: negative dim or length",
+                             offset=line_start)
+        if name in names:
+            raise ParseError(f"duplicate entry {name!r}", offset=line_start)
+        if off != packed:
+            raise ParseError(
+                f"entry {name!r}: offset {off}, expected {packed} "
+                f"(payloads are packed in header order)", offset=line_start)
+        names.add(name)
+        packed += length
         entries.append((name, shape, off, length))
 
     terminator = read_line()

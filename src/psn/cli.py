@@ -21,7 +21,8 @@ import datetime
 import json
 import os
 import sys
-import tempfile
+
+from .atomic import write_atomic
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,21 +47,6 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_text_atomic(path, text):
-    dirpath = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirpath, prefix=".cli-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class Manifest:
     """Run description written before work starts, completed afterwards."""
 
@@ -81,9 +67,8 @@ class Manifest:
         }
 
     def write(self):
-        _write_text_atomic(self.path,
-                           json.dumps(self.body, indent=2, sort_keys=True)
-                           + "\n")
+        write_atomic(self.path,
+                     json.dumps(self.body, indent=2, sort_keys=True) + "\n")
 
     def finish(self, results=None):
         self.body["end_time"] = _now()
@@ -212,7 +197,7 @@ def cmd_bench(args):
     manifest.write()
 
     records = run_bench(cfg)
-    _write_text_atomic(csv_path, to_csv(records))
+    write_atomic(csv_path, to_csv(records))
     print(grid_table(records))
     print(f"wrote {len(records)} records to {csv_path}")
 
@@ -313,6 +298,16 @@ def cmd_train(args):
     from .training import TrainConfig, train
 
     config = _train_config_from_args(args)
+    # Validate before anything is written, so a rejected config leaves no
+    # half-finished manifest behind.
+    cfg = TrainConfig(
+        epochs=config["epochs"],
+        batch_size=config["batch_size"],
+        learning_rate=config["lr"],
+        optimizer_kind={"adam": "adam_like",
+                        "sgd": "sgd_momentum"}[config["optimizer"]],
+        loss_kind={"ce": "ce_mean_output", "tet": "tet"}[config["loss"]],
+        seed=config["seed"])
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -327,14 +322,6 @@ def cmd_train(args):
 
     train_batch, test_batch, num_classes = _load_data(config)
     model = _build_model(config, train_batch, num_classes)
-    cfg = TrainConfig(
-        epochs=config["epochs"],
-        batch_size=config["batch_size"],
-        learning_rate=config["lr"],
-        optimizer_kind={"adam": "adam_like",
-                        "sgd": "sgd_momentum"}[config["optimizer"]],
-        loss_kind={"ce": "ce_mean_output", "tet": "tet"}[config["loss"]],
-        seed=config["seed"])
 
     try:
         history = train(model, train_batch, test_batch, cfg)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError, ShapeMismatchError
-from ..tensor import Tensor, matmul, mul, taped_op
+from ..tensor import Tensor, active_tape, matmul, mul, taped_op
 from .surrogate import heaviside_surrogate
 from .trace import SpikeTrace
 
@@ -217,6 +217,11 @@ def spsn_forward(x, p, cfg=None, path="matmul", relaxed=False):
         s = heaviside_surrogate(h, p.threshold, cfg, relaxed=relaxed)
         return SpikeTrace(s, h=h)
     if path == "conv":
+        if active_tape() is not None and any(
+                t.requires_grad for t in (x, p.kernel, p.threshold)):
+            raise ContractError(
+                "the conv path is forward only; use path='matmul' to "
+                "record gradients on the active tape")
         xd = x.data
         kd = p.kernel.data
         k = kd.shape[0]

@@ -1,4 +1,4 @@
-"""Serial IF/LIF neurons, and their reset-free scan-parallel form.
+"""Serial IF/LIF neurons, and their reset-free whole-sequence form.
 
 The serial dynamics are the classic three stages per time step: charge
 (IF: H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
@@ -6,11 +6,12 @@ resting potential 0), fire (Theta against v_th with surrogate gradient),
 reset (hard: jump to v_reset; soft: subtract v_th; none: V = H). Initial
 potential is 0.
 
-With reset_mode "none" the charge is a first-order linear recurrence and
-``parallel_no_reset`` computes the whole charge history with one scan plus
-one firing op. Any reset makes the recurrence nonlinear in the spikes, so
-asking for a parallel reset path is a contract error by design, not a
-missing feature.
+With reset_mode "none" the charge is the fixed linear recurrence
+H[t] = decay * H[t-1] + scale * X[t] (IF: (1, 1); LIF: (1 - 1/tau_m,
+1/tau_m)), and ``parallel_no_reset`` records the whole charge history as one
+taped op plus one firing op instead of a taped op per step. Any reset makes
+the recurrence nonlinear in the spikes, so asking for a parallel reset path
+is a contract error by design, not a missing feature.
 
 ``detach_reset`` blocks the gradient through the S[t] that appears inside
 the reset equation only; the emitted spike keeps its surrogate gradient.
@@ -18,12 +19,12 @@ the reset equation only; the emitted spike keeps its surrogate gradient.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError
-from ..scan import linrec_scan, prefix_sum
 from ..tensor import Tensor, add, scalar_affine, split_rows, stack_rows, taped_op
 from .surrogate import SurrogateConfig, heaviside_surrogate
 from .trace import SpikeTrace
@@ -128,20 +129,65 @@ def vanilla_sequence(x, p, cfg=None, relaxed=False):
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
 
 
-def parallel_no_reset(x, p, cfg=None, relaxed=False, stats_sink=None):
-    """Whole-sequence charge by scan, then one firing op.
+_FAULT = {"bias": 0.0}
+
+
+@contextmanager
+def inject_recurrence_fault(bias=1e-3):
+    """Add ``bias`` to every step of the reset-free recurrence. Test hook only.
+
+    Exists so the verification suites can demonstrate they actually catch a
+    broken kernel rather than vacuously passing.
+    """
+    prev = _FAULT["bias"]
+    _FAULT["bias"] = bias
+    try:
+        yield
+    finally:
+        _FAULT["bias"] = prev
+
+
+def _recurrence(x, decay, scale, reverse=False):
+    """h[t] = decay * h[t-1] + scale * x[t] along axis 0, from h[-1] = 0.
+
+    ``reverse`` runs the same recurrence from the last step back, which is
+    its transpose: d(loss)/dx[i] = scale * sum_{t>=i} decay^(t-i) g[t].
+    One output buffer, updated in place row by row.
+    """
+    h = np.multiply(x, x.dtype.type(scale), order="C")
+    if _FAULT["bias"]:
+        h += _FAULT["bias"]
+    rows = h.reshape(h.shape[0], -1)
+    if reverse:
+        rows = rows[::-1]
+    decay = h.dtype.type(decay)
+    carry = np.empty_like(rows[0])
+    for t in range(1, rows.shape[0]):
+        np.multiply(rows[t - 1], decay, out=carry)
+        np.add(rows[t], carry, out=rows[t])
+    return h
+
+
+def parallel_no_reset(x, p, cfg=None, relaxed=False):
+    """Whole-sequence charge as one taped recurrence op, then one firing op.
 
     Requires reset_mode "none": resetting couples H[t] to the spike history
-    nonlinearly and cannot be written as a linear scan.
+    nonlinearly, so the charge is no longer a fixed linear recurrence.
     """
     if p.reset_mode != "none":
         raise ContractError(
-            "reset is not parallelizable: the scan form only exists for "
-            "reset_mode='none'")
+            "reset is not parallelizable: the whole-sequence form only "
+            "exists for reset_mode='none'")
+    if x.data.ndim == 0 or x.data.shape[0] == 0:
+        raise ContractError("parallel_no_reset needs a non-empty time axis")
     if p.kind == "if":
-        h = prefix_sum(x, stats_sink)
+        decay, scale = 1.0, 1.0
     else:
-        inv = 1.0 / p.tau_m
-        h = linrec_scan(x, 1.0 - inv, inv, stats_sink)
+        decay, scale = 1.0 - 1.0 / p.tau_m, 1.0 / p.tau_m
+
+    def backward(gouts):
+        return (_recurrence(gouts[0], decay, scale, reverse=True),)
+
+    h = taped_op((x,), _recurrence(x.data, decay, scale), backward)
     s = heaviside_surrogate(h, p.v_th, cfg, relaxed=relaxed)
     return SpikeTrace(s, h=h)

@@ -17,12 +17,11 @@ used, and lambda when a masked PSN is present.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..errors import ContractError
 from ..neurons import lambda_schedule
 from ..tensor import Tensor, no_tape, Tape
@@ -93,18 +92,7 @@ class History:
         return cls(records)
 
     def write(self, path):
-        dirpath = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=dirpath, prefix=".hist-")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(self.to_text())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, self.to_text())
 
     def series(self, split, metric):
         return [(e, v) for e, s, m, v in self.records

@@ -8,8 +8,9 @@ time, and restore the shape. The forward pass emits per-step logits
 (T, N, num_classes); heads and losses decide how to collapse time.
 
 Neuron kinds: "psn", "masked-psn", "spsn", "if", "lif" (serial, reset per
-opts), "if-no-reset", "lif-no-reset" (scan-parallel). PSN and masked PSN
-need the sequence length at build time because their weights are T x T.
+opts), "if-no-reset", "lif-no-reset" (one whole-sequence recurrence op). PSN
+and masked PSN need the sequence length at build time because their weights
+are T x T.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """User-facing self-check suites.
 
 Each suite re-derives an equivalence the library is built on and checks the
-shipped kernels against it: the serial loop against the scan, the dense
-parallel neuron against the integrate-only kinds it subsumes, the banded mask
-against its index predicate, the two sliding-charge paths against each other,
-and every analytic gradient against central finite differences.
+shipped kernels against it: the serial loop against the whole-sequence
+reset-free recurrence, the dense parallel neuron against the integrate-only
+kinds it subsumes, the banded mask against its index predicate, the two
+sliding-charge paths against each other, and every analytic gradient against
+central finite differences.
 
 Suites run in float64 regardless of the training dtype. The equivalences are
 algebraic identities; running them at float32 would bound the comparison by
@@ -66,7 +67,8 @@ def _timed(name, body):
 
 def suite_serial_parallel(t_values=range(2, 65), n_values=(1, 16, 256),
                           num_seeds=100):
-    """Scan-based charge and firing must match the step loop without reset."""
+    """The whole-sequence charge and firing must match the step loop without
+    reset."""
     t_values = tuple(t_values)
 
     def body():

@@ -97,3 +97,34 @@ def test_order_is_preserved(tmp_path):
     path = tmp_path / "o.ckpt"
     save_checkpoint(path, arrays)
     assert list(load_checkpoint(path)) == names
+
+
+def _write_raw(path, entry_lines, payload_bytes=32):
+    header = (b"PSNCKPT v1\ncount %d\n" % len(entry_lines)
+              + b"".join(line.encode() + b"\n" for line in entry_lines)
+              + b"end\n")
+    path.write_bytes(header + np.arange(payload_bytes // 4,
+                                        dtype="<f4").tobytes())
+
+
+# Each case changes one field of the well-formed header ("a 2 0 8",
+# "b 3 8 12"); the payload is long enough that none of them would fail for
+# running out of bytes.
+@pytest.mark.parametrize("entry_lines", [
+    pytest.param(["a 2 -8 8", "b 3 8 12"], id="negative-offset"),
+    pytest.param(["a -2 0 8", "b 3 8 12"], id="negative-dim"),
+    pytest.param(["a 2 0 -8", "b 3 8 12"], id="negative-length"),
+    pytest.param(["a -1 0 -4", "b 3 -4 12"], id="negative-dim-and-length"),
+    pytest.param(["a 2 0 8", "a 3 8 12"], id="duplicate-name"),
+    pytest.param(["a 2 0 8", "b 3 4 12"], id="overlapping-offset"),
+    pytest.param(["a 2 0 8", "b 3 12 12"], id="gap-between-offsets"),
+    pytest.param(["a 2 4 8", "b 3 12 12"], id="gap-before-first"),
+])
+def test_malformed_header_field_is_rejected(tmp_path, entry_lines):
+    path = tmp_path / "m.ckpt"
+    _write_raw(path, ["a 2 0 8", "b 3 8 12"])
+    assert [a.shape for a in load_checkpoint(path).values()] == [(2,), (3,)]
+    _write_raw(path, entry_lines)
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert err.value.offset is not None

@@ -131,6 +131,22 @@ def test_eval_rejects_a_non_run_directory(tmp_path):
     assert _run(["eval", str(tmp_path)]) == EXIT_USAGE
 
 
+def test_eval_rejects_a_malformed_checkpoint(train_run, tmp_path, capsys):
+    import shutil
+    run = tmp_path / "run"
+    shutil.copytree(train_run, run)
+    ckpt = run / "model.ckpt"
+    blob = ckpt.read_bytes()
+    # Point the first entry's payload offset before the payload.
+    first = blob.index(b"\n", blob.index(b"count")) + 1
+    line_end = blob.index(b"\n", first)
+    name, shape, _, length = blob[first:line_end].split()
+    ckpt.write_bytes(blob[:first] + b" ".join([name, shape, b"-8", length])
+                     + blob[line_end:])
+    assert _run(["eval", str(run)]) == EXIT_USAGE
+    assert "offset" in capsys.readouterr().err
+
+
 def test_train_masked_records_lambda(tmp_path):
     out_dir = tmp_path / "masked"
     code = _run(["train", "--neuron", "masked-psn", "--order", "2",
@@ -164,6 +180,13 @@ def test_train_records_thread_pinning(tmp_path, monkeypatch):
                  "--out-dir", str(out_dir)])
     assert code == EXIT_OK
     assert _read_json(out_dir / "manifest.json")["threads"] == 1
+
+
+def test_train_rejects_bad_config_before_writing_a_manifest(tmp_path):
+    out_dir = tmp_path / "zero"
+    code = _run(["train", "--epochs", "0", "--out-dir", str(out_dir)])
+    assert code == EXIT_USAGE
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_train_rejects_bad_data_spec(tmp_path):

@@ -293,12 +293,24 @@ def test_spsn_kernel_gradient_sums_diagonals():
 def test_conv_path_is_forward_only():
     p = SlidingPSNParams.create(2)
     x = Tensor(np.ones((4, 2)), requires_grad=True)
-    with Tape() as tape:
-        trace = spsn_forward(x, p, path="conv")
+    trace = spsn_forward(x, p, path="conv")
     # Nothing differentiable comes out: the sliding loop detaches its
     # inputs, so no gradient can ever reach kernel, threshold, or x.
     assert not trace.s.requires_grad and not trace.h.requires_grad
     assert p.kernel.grad is None and p.threshold.grad is None
+
+
+def test_conv_path_refuses_a_tape_that_wants_gradients():
+    p = SlidingPSNParams.create(2)
+    x = Tensor(np.ones((4, 2)), requires_grad=True)
+    with Tape():
+        with pytest.raises(ContractError, match="forward only"):
+            spsn_forward(x, p, path="conv")
+    # Under a tape with nothing to differentiate it still runs.
+    frozen = SlidingPSNParams(p.kernel.detached(), p.threshold.detached())
+    with Tape():
+        trace = spsn_forward(Tensor(np.ones((4, 2))), frozen, path="conv")
+    assert not trace.s.requires_grad
 
 
 def test_sliding_param_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError
-from psn.scan import inject_combine_fault
+from psn.neurons.vanilla import inject_recurrence_fault
 from psn.verify import (SUITES, SuiteResult, run_suites, suite_conv_vs_matmul,
                        suite_grad, suite_mask_causality,
                        suite_psn_subsumption, suite_serial_parallel)
@@ -21,7 +21,7 @@ def test_serial_parallel_small_grid_passes():
 
 
 def test_serial_parallel_catches_combine_fault():
-    with inject_combine_fault(bias=1e-3):
+    with inject_recurrence_fault(bias=1e-3):
         result = suite_serial_parallel(t_values=(16,), n_values=(8,),
                                        num_seeds=2)
     assert not result.passed
