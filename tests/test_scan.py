@@ -1,16 +1,20 @@
-"""Blelloch-style pair scan against serial oracles."""
+"""The reset-free charge kernel of ``parallel_no_reset`` against serial oracles.
+
+``_recurrence`` computes h[t] = decay * h[t-1] + scale * x[t]; IF is the
+(1, 1) case (a prefix sum) and LIF the (1 - 1/tau_m, 1/tau_m) case.
+"""
 
 import numpy as np
 import pytest
 
-from psn.errors import ContractError
-from psn.scan import (LinearRecurrence, ScanStats, _combine_into,
-                      inject_combine_fault, linrec_scan, pair_scan,
-                      prefix_sum)
+from psn.neurons import VanillaNeuronParams, parallel_no_reset
+from psn.neurons.vanilla import _recurrence, inject_recurrence_fault
 from psn.tensor import Tape, Tensor, mul, sum_all
 
 
 def _serial_recurrence(x, decay, scale):
+    """float64 oracle for h[t] = decay * h[t-1] + scale * x[t]."""
+    x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     v = np.zeros_like(x[0])
     for t in range(x.shape[0]):
@@ -19,43 +23,48 @@ def _serial_recurrence(x, decay, scale):
     return out
 
 
+def _prefix_sum(x):
+    return _recurrence(np.asarray(x, dtype=np.float64), 1.0, 1.0)
+
+
 def test_prefix_sum_ones():
-    h = prefix_sum(Tensor(np.array([1.0, 1.0, 1.0])))
-    np.testing.assert_array_equal(h.data, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(_prefix_sum([1.0, 1.0, 1.0]),
+                                  [1.0, 2.0, 3.0])
 
 
 def test_prefix_sum_impulse():
-    h = prefix_sum(Tensor(np.array([5.0, 0.0, 0.0, 0.0])))
-    np.testing.assert_array_equal(h.data, [5.0, 5.0, 5.0, 5.0])
+    np.testing.assert_array_equal(_prefix_sum([5.0, 0.0, 0.0, 0.0]),
+                                  [5.0, 5.0, 5.0, 5.0])
 
 
 def test_prefix_sum_matches_cumsum_t64():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((64, 7)).astype(np.float32)
-    h = prefix_sum(Tensor(x))
-    np.testing.assert_allclose(h.data, np.cumsum(x, axis=0), atol=1e-5)
+    h = _recurrence(x, 1.0, 1.0)
+    np.testing.assert_allclose(h, np.cumsum(x, axis=0), atol=1e-5)
 
 
 def test_linrec_halving_impulse():
     # tau = 2: decay 0.5, input scale 0.5.
-    h = linrec_scan(Tensor(np.array([1.0, 0.0, 0.0])), 0.5, 0.5)
-    np.testing.assert_allclose(h.data, [0.5, 0.25, 0.125], rtol=1e-12)
+    p = VanillaNeuronParams(kind="lif", tau_m=2.0, reset_mode="none")
+    h = parallel_no_reset(Tensor(np.array([[1.0], [0.0], [0.0]])), p).h
+    np.testing.assert_allclose(h.data[:, 0], [0.5, 0.25, 0.125], rtol=1e-12)
 
 
 def test_linrec_unit_coefficients_reduce_to_prefix_sum():
+    # The IF charge is the unit-coefficient recurrence: a running sum.
     rng = np.random.default_rng(11)
     x = rng.standard_normal((17, 3))
-    a = linrec_scan(Tensor(x), 1.0, 1.0).data
-    b = prefix_sum(Tensor(x)).data
-    np.testing.assert_allclose(a, b, atol=1e-5)
+    p = VanillaNeuronParams(kind="if", reset_mode="none")
+    h = parallel_no_reset(Tensor(x), p).h.data
+    np.testing.assert_allclose(h, np.cumsum(x, axis=0), atol=1e-12)
 
 
 def test_linrec_matches_serial_oracle_t64():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((64, 5)).astype(np.float32)
-    h = linrec_scan(Tensor(x), 0.5, 0.5)
-    np.testing.assert_allclose(h.data, _serial_recurrence(x, 0.5, 0.5),
-                               atol=1e-5)
+    h = _recurrence(x, 0.5, 0.5)
+    np.testing.assert_allclose(h, _serial_recurrence(x, 0.5, 0.5), atol=1e-5)
 
 
 @pytest.mark.parametrize("decay,scale", [(0.1, 0.9), (0.5, 0.5), (0.9, 1.0),
@@ -64,107 +73,44 @@ def test_linrec_matches_serial_oracle_t64():
 def test_linrec_coefficient_sweep(decay, scale, T):
     rng = np.random.default_rng([13, T])
     x = rng.standard_normal((T, 4)).astype(np.float32)
-    h = linrec_scan(Tensor(x), decay, scale)
-    np.testing.assert_allclose(h.data, _serial_recurrence(x, decay, scale),
+    h = _recurrence(x, decay, scale)
+    assert h.dtype == np.float32
+    np.testing.assert_allclose(h, _serial_recurrence(x, decay, scale),
                                atol=1e-5)
-
-
-def test_nonpow2_lengths_do_not_leak_padding():
-    # The padded tail must be invisible in the first T outputs.
-    for T in (3, 5, 6, 9, 31, 63):
-        rng = np.random.default_rng([14, T])
-        x = rng.standard_normal((T, 2))
-        h = prefix_sum(Tensor(x))
-        assert h.data.shape == (T, 2)
-        np.testing.assert_allclose(h.data, np.cumsum(x, axis=0), atol=1e-12)
-
-
-def test_combine_is_associative_in_float64():
-    rng = np.random.default_rng(15)
-    pairs = [(rng.standard_normal(()), rng.standard_normal(4))
-             for _ in range(3)]
-
-    def combine(p, q):
-        (a1, c1), (a2, c2) = p, q
-        a_acc = np.array(a1)
-        c_acc = c1.copy()
-        _combine_into(a_acc, c_acc, np.array(a2), c2)
-        return a_acc, c_acc
-
-    x, y, z = pairs
-    left = combine(combine(x, y), z)
-    right = combine(x, combine(y, z))
-    np.testing.assert_allclose(left[0], right[0], atol=1e-7)
-    np.testing.assert_allclose(left[1], right[1], atol=1e-7)
-
-
-@pytest.mark.parametrize("T", [1, 2, 5, 8, 16, 33, 64, 100])
-def test_work_and_depth_bounds(T):
-    a = np.full(T, 0.5)
-    c = np.ones((T, 1))
-    _, stats = pair_scan(a, c)
-    assert isinstance(stats, ScanStats)
-    P = stats.padded_length
-    assert P >= T and (P & (P - 1)) == 0
-    assert stats.length == T
-    # Work must stay linear, depth logarithmic.
-    assert stats.work <= 3 * P
-    if P > 1:
-        assert stats.depth <= 2 * int(np.log2(P)) + 1
-
-
-def test_stats_sink_is_filled():
-    sink = []
-    prefix_sum(Tensor(np.ones((10, 2))), stats_sink=sink)
-    assert len(sink) == 1 and isinstance(sink[0], ScanStats)
-
-
-def test_pair_scan_rejects_empty_and_mismatched():
-    with pytest.raises(ContractError):
-        pair_scan(np.ones(0), np.ones((0, 2)))
-    with pytest.raises(ContractError):
-        pair_scan(np.ones(3), np.ones((4, 2)))
 
 
 def test_linrec_backward_matches_fd():
     rng = np.random.default_rng(16)
     x0 = rng.standard_normal((9, 3))
     proj = rng.standard_normal((9, 3))
-    decay, scale = 0.6, 0.4
+    # LIF at tau_m 2.5 is decay 0.6, scale 0.4; IF is decay 1, scale 1.
+    for kind, decay, scale in (("lif", 0.6, 0.4), ("if", 1.0, 1.0)):
+        p = VanillaNeuronParams(kind=kind, tau_m=2.5, reset_mode="none")
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            h = parallel_no_reset(x, p).h
+            tape.backward(sum_all(mul(h, Tensor(proj))))
 
-    x = Tensor(x0.copy(), requires_grad=True)
-    with Tape() as tape:
-        h = linrec_scan(x, decay, scale)
-        tape.backward(sum_all(mul(h, Tensor(proj))))
-
-    eps = 1e-6
-    fd = np.zeros_like(x0)
-    for i in np.ndindex(*x0.shape):
-        xp = x0.copy()
-        xp[i] += eps
-        xm = x0.copy()
-        xm[i] -= eps
-        fp = (_serial_recurrence(xp, decay, scale) * proj).sum()
-        fm = (_serial_recurrence(xm, decay, scale) * proj).sum()
-        fd[i] = (fp - fm) / (2 * eps)
-    np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-9)
-
-
-def test_linear_recurrence_helper_agrees_with_scan():
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal((12, 2))
-    rec = LinearRecurrence(decay=0.7, scale=0.3)
-    h = rec(Tensor(x))
-    np.testing.assert_allclose(h.data, _serial_recurrence(x, 0.7, 0.3),
-                               atol=1e-12)
+        eps = 1e-6
+        fd = np.zeros_like(x0)
+        for i in np.ndindex(*x0.shape):
+            xp = x0.copy()
+            xp[i] += eps
+            xm = x0.copy()
+            xm[i] -= eps
+            fp = (_serial_recurrence(xp, decay, scale) * proj).sum()
+            fm = (_serial_recurrence(xm, decay, scale) * proj).sum()
+            fd[i] = (fp - fm) / (2 * eps)
+        np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_fault_injection_corrupts_the_scan():
-    x = np.ones((16, 1))
-    clean = prefix_sum(Tensor(x)).data
-    with inject_combine_fault(bias=1e-3):
-        dirty = prefix_sum(Tensor(x)).data
+    p = VanillaNeuronParams(kind="if", reset_mode="none")
+    x = Tensor(np.ones((16, 1)))
+    clean = parallel_no_reset(x, p).h.data
+    with inject_recurrence_fault(bias=1e-3):
+        dirty = parallel_no_reset(x, p).h.data
     assert np.max(np.abs(clean - dirty)) > 1e-4
     # And the hook must fully disarm afterwards.
-    again = prefix_sum(Tensor(x)).data
+    again = parallel_no_reset(x, p).h.data
     np.testing.assert_array_equal(again, clean)
