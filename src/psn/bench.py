@@ -21,16 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
-                      VanillaNeuronParams, masked_psn_forward,
-                      parallel_no_reset, psn_forward, spsn_forward,
-                      vanilla_sequence)
+from .neurons import KINDS, ORDER_KINDS, make
 from .tensor import Tape, Tensor, matmul, sum_all, tracker
 
-BENCH_KINDS = ("lif", "if", "lif-no-reset", "if-no-reset",
-               "psn", "masked-psn", "spsn")
 MODES = ("inference", "training")
-MEMORY_CONFIGURATIONS = ("no_neuron", "if_neuron", "psn")
+# Memory configuration -> the neuron kind between the two synapses.
+_MEMORY_NEURONS = {"no_neuron": None, "if_neuron": "if", "psn": "psn"}
+MEMORY_CONFIGURATIONS = tuple(_MEMORY_NEURONS)
 
 DEFAULT_N_VALUES = (2 ** 8, 2 ** 12, 2 ** 16, 2 ** 20)
 DEFAULT_T_VALUES = (2, 4, 8, 16, 32, 64)
@@ -61,10 +58,9 @@ class BenchConfig:
         self.n_values = tuple(int(n) for n in self.n_values)
         self.t_values = tuple(int(t) for t in self.t_values)
         for kind in self.neuron_kinds:
-            if kind not in BENCH_KINDS:
+            if kind not in KINDS:
                 raise ContractError(
-                    f"unknown neuron kind {kind!r}; expected one of "
-                    f"{BENCH_KINDS}")
+                    f"unknown neuron kind {kind!r}; expected one of {KINDS}")
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got "
                                 f"{self.mode!r}")
@@ -77,6 +73,10 @@ class BenchConfig:
                 f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if not self.neuron_kinds or not self.n_values or not self.t_values:
             raise ContractError("benchmark grid must be non-empty")
+        if min(self.n_values + self.t_values) < 1:
+            raise ContractError(
+                f"every N and T must be >= 1, got N in {self.n_values}, "
+                f"T in {self.t_values}")
 
 
 @dataclass
@@ -110,42 +110,19 @@ def bench_input(seed, N, T):
 
 
 def _make_params(kind, T, seed):
-    rng = np.random.default_rng([seed, T])
-    if kind in ("lif", "if"):
-        return VanillaNeuronParams(kind=kind, reset_mode="hard")
-    if kind in ("lif-no-reset", "if-no-reset"):
-        return VanillaNeuronParams(kind=kind[:-len("-no-reset")],
-                                   reset_mode="none")
-    if kind == "psn":
-        return PSNParams.create(T, rng)
-    if kind == "masked-psn":
-        return MaskedPSNParams.create(T, min(4, T), rng)
-    if kind == "spsn":
-        return SlidingPSNParams.create(min(4, T))
-    raise ContractError(f"unknown neuron kind {kind!r}")
+    opts = {"order": min(4, T)} if kind in ORDER_KINDS else None
+    return make(kind, T, np.random.default_rng([seed, T]), opts)
 
 
-def _forward(kind, x, params):
-    if kind in ("lif", "if"):
-        return vanilla_sequence(x, params)
-    if kind in ("lif-no-reset", "if-no-reset"):
-        return parallel_no_reset(x, params)
-    if kind == "psn":
-        return psn_forward(x, params)
-    if kind == "masked-psn":
-        return masked_psn_forward(x, params)
-    return spsn_forward(x, params)
-
-
-def _make_step(kind, mode, x_data, params):
+def _make_step(mode, x_data, params):
     if mode == "inference":
         def step():
-            _forward(kind, Tensor(x_data), params)
+            params.forward(Tensor(x_data))
     else:
         def step():
             x = Tensor(x_data, requires_grad=True)
             with Tape() as tape:
-                trace = _forward(kind, x, params)
+                trace = params.forward(x)
                 loss = sum_all(trace.s)
                 tape.backward(loss)
     return step
@@ -176,7 +153,7 @@ def _run_cell(cfg, mode, N, T):
 
     try:
         baseline = _time_median(
-            _make_step("lif", mode, x_data, _make_params("lif", T, cfg.seed)),
+            _make_step(mode, x_data, _make_params("lif", T, cfg.seed)),
             cfg.warmup_iters, cfg.measured_iters)
     except MemoryError:
         baseline = None
@@ -191,8 +168,7 @@ def _run_cell(cfg, mode, N, T):
             continue
         try:
             wall = _time_median(
-                _make_step(kind, mode, x_data,
-                           _make_params(kind, T, cfg.seed)),
+                _make_step(mode, x_data, _make_params(kind, T, cfg.seed)),
                 cfg.warmup_iters, cfg.measured_iters)
         except MemoryError:
             records.append(_skipped(kind, N, T, mode))
@@ -240,24 +216,17 @@ def _measure_config(configuration, T, N):
                   requires_grad=True)
     w_out = Tensor(scale * rng.standard_normal((N, N), dtype=np.float32),
                    requires_grad=True)
-    if configuration == "if_neuron":
-        neuron = VanillaNeuronParams(kind="if", reset_mode="hard")
-    elif configuration == "psn":
-        neuron = PSNParams.create(T, rng)
-    elif configuration != "no_neuron":
+    if configuration not in _MEMORY_NEURONS:
         raise ContractError(
             f"unknown memory configuration {configuration!r}; expected one "
             f"of {MEMORY_CONFIGURATIONS}")
+    kind = _MEMORY_NEURONS[configuration]
+    neuron = make(kind, T, rng) if kind else None
 
     tracker.start()
     with Tape() as tape:
         pre = matmul(x, w_in)
-        if configuration == "no_neuron":
-            z = pre
-        elif configuration == "if_neuron":
-            z = vanilla_sequence(pre, neuron).s
-        else:
-            z = psn_forward(pre, neuron).s
+        z = pre if neuron is None else neuron.forward(pre).s
         loss = sum_all(matmul(z, w_out))
         tape.backward(loss)
     return int(tracker.stop())

@@ -3,8 +3,9 @@
 Exit codes are part of the interface and stay stable: 0 success, 1 a
 verification suite failed, 2 a usage or input error, 3 training diverged.
 
-Every run writes a JSON manifest before doing any work, then rewrites it on
-completion with the end timestamp and summary results. A training run can be
+Every run checks its inputs, writes a JSON manifest before the main work,
+then rewrites it on completion with the end timestamp and summary results;
+an input error (exit 2) leaves no manifest behind. A training run can be
 replayed bit-exactly (history file included, timing excluded) with
 ``psn train --from-manifest <path>``, which takes every setting from the
 manifest rather than the flags.
@@ -245,16 +246,14 @@ def _load_data(config):
 
 
 def _build_model(config, data_batch, num_classes):
+    from .neurons import ORDER_KINDS
     from .training import Model, ModelSpec
 
     kind = config["neuron"]
-    if kind in ("masked-psn", "spsn"):
-        neuron = ("neuron", kind, {"order": config["order"]})
-    else:
-        neuron = ("neuron", kind)
+    opts = {"order": config["order"]} if kind in ORDER_KINDS else {}
     spec = ModelSpec(
         layers=(("linear", data_batch.num_channels, config["hidden"]),
-                neuron,
+                ("neuron", kind, opts),
                 ("linear", config["hidden"], num_classes)),
         head=config["head"],
         seed=config["seed"],
@@ -267,25 +266,33 @@ _TRAIN_CONFIG_KEYS = ("neuron", "order", "epochs", "seed", "data", "classes",
                       "optimizer", "lr", "batch_size")
 
 
+def _read_train_manifest(path):
+    """A training run's manifest config, every key of it checked present."""
+    from .errors import ContractError, ParseError
+
+    with open(path) as f:
+        try:
+            run = json.load(f)
+        except ValueError as err:
+            raise ParseError(f"{path} is not a JSON manifest: {err}")
+    if not isinstance(run, dict) or run.get("command") != "train":
+        raise ContractError(f"{path} does not describe a training run")
+    config = run.get("config")
+    if not isinstance(config, dict):
+        raise ContractError(f"{path} has no config object")
+    for key in _TRAIN_CONFIG_KEYS + ("out_dir",):
+        if key not in config:
+            raise ContractError(f"{path} is missing config.{key}")
+    return config, run.get("results") or {}
+
+
 def _train_config_from_args(args):
     if args.from_manifest:
-        with open(args.from_manifest) as f:
-            source = json.load(f)
-        if source.get("command") != "train":
-            from .errors import ContractError
-            raise ContractError(
-                f"{args.from_manifest} is a "
-                f"{source.get('command')!r} manifest, not a training run")
-        config = {key: source["config"][key] for key in _TRAIN_CONFIG_KEYS}
-        out_dir = args.out_dir or source["config"]["out_dir"] + "-rerun"
+        source, _ = _read_train_manifest(args.from_manifest)
+        config = {key: source[key] for key in _TRAIN_CONFIG_KEYS}
+        out_dir = args.out_dir or source["out_dir"] + "-rerun"
     else:
-        config = {"neuron": args.neuron, "order": args.order,
-                  "epochs": args.epochs, "seed": args.seed,
-                  "data": args.data, "classes": args.classes,
-                  "samples_per_class": args.samples_per_class,
-                  "hidden": args.hidden, "head": args.head,
-                  "loss": args.loss, "optimizer": args.optimizer,
-                  "lr": args.lr, "batch_size": args.batch_size}
+        config = {key: getattr(args, key) for key in _TRAIN_CONFIG_KEYS}
         out_dir = args.out_dir or os.path.join(
             "runs", f"train-{args.neuron}-s{args.seed}")
     config["out_dir"] = out_dir
@@ -298,8 +305,8 @@ def cmd_train(args):
     from .training import TrainConfig, train
 
     config = _train_config_from_args(args)
-    # Validate before anything is written, so a rejected config leaves no
-    # half-finished manifest behind.
+    # Validate, load and build before anything is written, so a rejected
+    # config leaves no half-finished manifest behind.
     cfg = TrainConfig(
         epochs=config["epochs"],
         batch_size=config["batch_size"],
@@ -308,6 +315,8 @@ def cmd_train(args):
                         "sgd": "sgd_momentum"}[config["optimizer"]],
         loss_kind={"ce": "ce_mean_output", "tet": "tet"}[config["loss"]],
         seed=config["seed"])
+    train_batch, test_batch, num_classes = _load_data(config)
+    model = _build_model(config, train_batch, num_classes)
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -319,9 +328,6 @@ def cmd_train(args):
     manifest.body["outputs"] = {"history": os.path.abspath(history_path),
                                 "checkpoint": os.path.abspath(ckpt_path)}
     manifest.write()
-
-    train_batch, test_batch, num_classes = _load_data(config)
-    model = _build_model(config, train_batch, num_classes)
 
     try:
         history = train(model, train_batch, test_batch, cfg)
@@ -353,31 +359,23 @@ def cmd_train(args):
 
 def cmd_eval(args):
     from .checkpoint import load_checkpoint
-    from .errors import ContractError
     from .training import evaluate
 
-    manifest_path = os.path.join(args.run_dir, "manifest.json")
-    with open(manifest_path) as f:
-        run = json.load(f)
-    if run.get("command") != "train":
-        raise ContractError(f"{manifest_path} does not describe a training "
-                            f"run")
+    config, results = _read_train_manifest(
+        os.path.join(args.run_dir, "manifest.json"))
+    train_batch, test_batch, num_classes = _load_data(config)
+    model = _build_model(config, train_batch, num_classes)
+    model.load_state_dict(
+        load_checkpoint(os.path.join(args.run_dir, "model.ckpt")))
+    if results.get("final_lambda") is not None:
+        model.set_masked_lambda(results["final_lambda"])
 
-    config = run["config"]
     eval_manifest = Manifest(
         os.path.join(args.run_dir, "eval-manifest.json"), "eval",
         config={"run_dir": os.path.abspath(args.run_dir),
                 "split": args.split},
         seed=config["seed"], threads=args.resolved_threads)
     eval_manifest.write()
-
-    train_batch, test_batch, num_classes = _load_data(config)
-    model = _build_model(config, train_batch, num_classes)
-    model.load_state_dict(
-        load_checkpoint(os.path.join(args.run_dir, "model.ckpt")))
-    results = run.get("results") or {}
-    if results.get("final_lambda") is not None:
-        model.set_masked_lambda(results["final_lambda"])
 
     batch = test_batch if args.split == "test" else train_batch
     accuracy, rates = evaluate(model, batch)

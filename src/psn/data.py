@@ -83,12 +83,6 @@ def columnize(images, labels=None, normalize=False, stats=None):
     return SequenceBatch(Tensor(seq), labels, meta)
 
 
-def decolumnize(batch):
-    """Inverse of columnize (before normalization): (T, N, C) -> (N, H, W)."""
-    seq = batch.inputs.data
-    return np.ascontiguousarray(seq.transpose(1, 2, 0))
-
-
 _IMG_SIZE = 16
 _BURST_ENERGY = 4.8
 _ROW_KEEP_PROB = 0.75

@@ -1,7 +1,8 @@
+from .kinds import KINDS, ORDER_KINDS, T_SIZED_KINDS, make
 from .parallel import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                        blend_mask, build_mask, lambda_schedule,
-                       masked_psn_forward, param_count, psn_forward,
-                       spsn_build_A, spsn_forward)
+                       masked_psn_forward, psn_forward, spsn_build_A,
+                       spsn_forward)
 from .surrogate import (SurrogateConfig, heaviside_surrogate, smooth_step,
                         surrogate_grad)
 from .trace import SpikeTrace
@@ -9,6 +10,7 @@ from .vanilla import (VanillaNeuronParams, apply_reset, charge,
                       parallel_no_reset, vanilla_sequence, vanilla_step)
 
 __all__ = [
+    "KINDS", "ORDER_KINDS", "T_SIZED_KINDS", "make",
     "SurrogateConfig", "heaviside_surrogate", "surrogate_grad", "smooth_step",
     "SpikeTrace",
     "VanillaNeuronParams", "charge", "apply_reset", "vanilla_step",
@@ -16,5 +18,4 @@ __all__ = [
     "PSNParams", "MaskedPSNParams", "SlidingPSNParams",
     "psn_forward", "masked_psn_forward", "spsn_forward",
     "build_mask", "blend_mask", "lambda_schedule", "spsn_build_A",
-    "param_count",
 ]

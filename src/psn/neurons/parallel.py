@@ -30,6 +30,8 @@ _INIT_BOUND = float(np.sqrt(5.0))
 class PSNParams:
     """Dense weights W (T x T) and per-step thresholds B (T,)."""
 
+    names = ("weight", "threshold")
+
     def __init__(self, weight, threshold):
         if weight.data.ndim != 2 or weight.data.shape[0] != weight.data.shape[1]:
             raise ContractError(
@@ -55,6 +57,9 @@ class PSNParams:
 
     def parameters(self):
         return [self.weight, self.threshold]
+
+    def forward(self, x, cfg=None, relaxed=False):
+        return psn_forward(x, self, cfg, relaxed)
 
 
 class MaskedPSNParams(PSNParams):
@@ -86,9 +91,14 @@ class MaskedPSNParams(PSNParams):
             raise ContractError(f"lambda must lie in [0, 1], got {lam}")
         self.lam = float(lam)
 
+    def forward(self, x, cfg=None, relaxed=False):
+        return masked_psn_forward(x, self, cfg, relaxed)
+
 
 class SlidingPSNParams:
     """k shared weights, oldest first, plus one learnable scalar threshold."""
+
+    names = ("kernel", "threshold")
 
     def __init__(self, kernel, threshold):
         if kernel.data.ndim != 1 or kernel.data.shape[0] < 1:
@@ -117,6 +127,9 @@ class SlidingPSNParams:
 
     def parameters(self):
         return [self.kernel, self.threshold]
+
+    def forward(self, x, cfg=None, relaxed=False):
+        return spsn_forward(x, self, cfg, relaxed=relaxed)
 
 
 def _check_charge_input(x, num_steps):
@@ -236,18 +249,3 @@ def spsn_forward(x, p, cfg=None, path="matmul", relaxed=False):
                                 relaxed=relaxed)
         return SpikeTrace(s, h=h)
     raise ContractError(f"unknown charge path {path!r}")
-
-
-def param_count(neuron_kind, num_steps=None, order_k=None):
-    """Learnable scalars added by one neuron layer of the given kind."""
-    if neuron_kind in ("psn", "masked-psn"):
-        if num_steps is None:
-            raise ContractError(f"{neuron_kind} parameter count needs T")
-        return num_steps * num_steps + num_steps
-    if neuron_kind == "spsn":
-        if order_k is None:
-            raise ContractError("spsn parameter count needs k")
-        return order_k + 1
-    if neuron_kind in ("if", "lif", "if-no-reset", "lif-no-reset"):
-        return 0
-    raise ContractError(f"unknown neuron kind {neuron_kind!r}")

@@ -39,6 +39,8 @@ class VanillaNeuronParams:
     reset_mode: str = "hard"  # "hard" | "soft" | "none"
     detach_reset: bool = False
 
+    names = ()  # no learnable tensors
+
     def __post_init__(self):
         if self.kind not in ("if", "lif"):
             raise ContractError(f"unknown vanilla neuron kind {self.kind!r}")
@@ -51,6 +53,11 @@ class VanillaNeuronParams:
             raise ContractError(
                 f"hard reset needs v_th > v_reset, got v_th={self.v_th}, "
                 f"v_reset={self.v_reset}")
+
+    def forward(self, x, cfg=None, relaxed=False):
+        if self.reset_mode == "none":
+            return parallel_no_reset(x, self, cfg, relaxed)
+        return vanilla_sequence(x, self, cfg, relaxed)
 
 
 def charge(x_t, v_prev, p):

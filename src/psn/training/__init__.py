@@ -1,6 +1,6 @@
 from .losses import cross_entropy, loss_ce_mean, loss_tet
 from .loop import History, TrainConfig, evaluate, train
-from .model import HEADS, NEURON_KINDS, LinearLayer, Model, ModelSpec, NeuronLayer
+from .model import HEADS, LinearLayer, Model, ModelSpec, NeuronLayer
 from .optim import AdamLike, SGDMomentum, cosine_lr, resolve_lr, step_lr
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "LinearLayer",
     "Model",
     "ModelSpec",
-    "NEURON_KINDS",
     "NeuronLayer",
     "SGDMomentum",
     "TrainConfig",

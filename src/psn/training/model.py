@@ -7,27 +7,21 @@ neuron layers flatten (N, C) into one batch axis, run their dynamics over
 time, and restore the shape. The forward pass emits per-step logits
 (T, N, num_classes); heads and losses decide how to collapse time.
 
-Neuron kinds: "psn", "masked-psn", "spsn", "if", "lif" (serial, reset per
-opts), "if-no-reset", "lif-no-reset" (one whole-sequence recurrence op). PSN
-and masked PSN need the sequence length at build time because their weights
-are T x T.
+The neuron kinds, their options and their forwards are defined once, in
+``psn.neurons.kinds`` (``KINDS`` and ``make``); this module only stacks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError, DivergenceError
-from ..neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
-                       SurrogateConfig, VanillaNeuronParams,
-                       masked_psn_forward, parallel_no_reset, psn_forward,
-                       spsn_forward, vanilla_sequence)
+from ..neurons import (KINDS, T_SIZED_KINDS, MaskedPSNParams,
+                       SurrogateConfig, make)
 from ..tensor import Tensor, add, matmul, reshape
 
-NEURON_KINDS = ("psn", "masked-psn", "spsn", "if", "lif",
-                "if-no-reset", "lif-no-reset")
 HEADS = ("time-averaged", "per-step")
 
 
@@ -51,18 +45,22 @@ class ModelSpec:
                 if len(layer) != 3:
                     raise ContractError(
                         f"linear layer {i} must be ('linear', in, out)")
+                if min(layer[1:]) < 1:
+                    raise ContractError(
+                        f"linear layer {i} needs in and out >= 1, got "
+                        f"{layer[1:]}")
             elif layer[0] == "neuron":
                 if len(layer) not in (2, 3):
                     raise ContractError(
                         f"neuron layer {i} must be ('neuron', kind[, opts])")
                 kind = layer[1]
-                if kind not in NEURON_KINDS:
+                if kind not in KINDS:
                     raise ContractError(f"unknown neuron kind {kind!r}")
                 if i == 0 or self.layers[i - 1][0] != "linear":
                     raise ContractError(
                         f"neuron layer {i} must be preceded by a weighted "
                         f"layer")
-                if kind in ("psn", "masked-psn") and self.num_steps is None:
+                if kind in T_SIZED_KINDS and self.num_steps is None:
                     raise ContractError(
                         f"{kind} layers need ModelSpec.num_steps")
             else:
@@ -96,59 +94,18 @@ class NeuronLayer:
         opts = dict(opts or {})
         self.kind = kind
         self.cfg = SurrogateConfig(alpha=opts.pop("alpha", 4.0))
+        self.params = make(kind, num_steps, rng, opts, dtype)
         self.last_trace = None
-
-        if kind == "psn":
-            self.params = PSNParams.create(num_steps, rng, dtype)
-        elif kind == "masked-psn":
-            order = opts.pop("order", None)
-            if order is None:
-                raise ContractError("masked-psn needs opts['order']")
-            self.params = MaskedPSNParams.create(num_steps, order, rng, dtype)
-        elif kind == "spsn":
-            order = opts.pop("order", None)
-            if order is None:
-                raise ContractError("spsn needs opts['order']")
-            self.params = SlidingPSNParams.create(order, dtype)
-        else:
-            base = kind.replace("-no-reset", "")
-            reset = "none" if kind.endswith("-no-reset") else \
-                opts.pop("reset_mode", "hard")
-            self.params = VanillaNeuronParams(
-                kind=base,
-                tau_m=opts.pop("tau_m", 2.0),
-                v_th=opts.pop("v_th", 1.0),
-                v_reset=opts.pop("v_reset", 0.0),
-                reset_mode=reset,
-                detach_reset=opts.pop("detach_reset", False))
-        if opts:
-            raise ContractError(
-                f"unknown neuron options for {kind!r}: {sorted(opts)}")
 
     def __call__(self, x):
         T, N, C = x.data.shape
-        flat = reshape(x, (T, N * C))
-        if self.kind == "psn":
-            trace = psn_forward(flat, self.params, self.cfg)
-        elif self.kind == "masked-psn":
-            trace = masked_psn_forward(flat, self.params, self.cfg)
-        elif self.kind == "spsn":
-            trace = spsn_forward(flat, self.params, self.cfg)
-        elif self.kind in ("if-no-reset", "lif-no-reset"):
-            trace = parallel_no_reset(flat, self.params, self.cfg)
-        else:
-            trace = vanilla_sequence(flat, self.params, self.cfg)
+        trace = self.params.forward(reshape(x, (T, N * C)), self.cfg)
         self.last_trace = trace
         return reshape(trace.s, (T, N, C))
 
     def parameters(self):
-        if isinstance(self.params, VanillaNeuronParams):
-            return {}
-        if isinstance(self.params, SlidingPSNParams):
-            return {"kernel": self.params.kernel,
-                    "threshold": self.params.threshold}
-        return {"weight": self.params.weight,
-                "threshold": self.params.threshold}
+        return {name: getattr(self.params, name)
+                for name in self.params.names}
 
 
 class Model:

@@ -291,15 +291,8 @@ def _grad_case_builders():
             p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
             x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
             proj = proj_for((T, N), rng)
-
-            def loss():
-                if reset_mode == "none":
-                    trace = parallel_no_reset(x, p, cfg, relaxed=True)
-                else:
-                    trace = vanilla_sequence(x, p, cfg, relaxed=True)
-                return sum_all(mul(trace.s, proj))
-
-            return {"x": x}, loss
+            return {"x": x}, lambda: sum_all(mul(
+                p.forward(x, cfg, relaxed=True).s, proj))
 
         return build
 

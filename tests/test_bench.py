@@ -23,6 +23,10 @@ def test_config_validation():
         BenchConfig(warmup_iters=-1)
     with pytest.raises(ContractError):
         BenchConfig(n_values=())
+    for grid in ({"n_values": (0,)}, {"n_values": (32, -4)},
+                 {"t_values": (0,)}, {"t_values": (2, -2)}):
+        with pytest.raises(ContractError, match=">= 1"):
+            BenchConfig(**grid)
 
 
 def test_bench_input_is_deterministic_and_shaped():

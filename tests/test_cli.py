@@ -62,11 +62,17 @@ def test_bench_skip_large(tmp_path):
     assert rows and all(r.endswith("skipped") for r in rows)
 
 
-def test_bench_rejects_bad_grid(tmp_path):
+def test_bench_rejects_bad_grid(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         _run(["bench", "--kinds", "lif", "--n-values", "banana",
               "--out-dir", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
+    for flag in ("--t-values=0", "--t-values=-2", "--n-values=0"):
+        out_dir = tmp_path / flag.strip("-")
+        assert _run(["bench", "--kinds", "lif", flag, "--iters", "3",
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert ">= 1" in capsys.readouterr().err
+        assert not (out_dir / "bench-manifest.json").exists()
 
 
 # ------------------------------------------------------------------ train
@@ -182,11 +188,54 @@ def test_train_records_thread_pinning(tmp_path, monkeypatch):
     assert _read_json(out_dir / "manifest.json")["threads"] == 1
 
 
-def test_train_rejects_bad_config_before_writing_a_manifest(tmp_path):
-    out_dir = tmp_path / "zero"
-    code = _run(["train", "--epochs", "0", "--out-dir", str(out_dir)])
-    assert code == EXIT_USAGE
-    assert not (out_dir / "manifest.json").exists()
+def _faulty_runs(train_run, tmp_path):
+    """Run directories whose manifest is broken one way each."""
+    good = _read_json(train_run / "manifest.json")
+    missing = json.loads(json.dumps(good))
+    del missing["config"]["neuron"]
+    unknown = json.loads(json.dumps(good))
+    unknown["config"]["neuron"] = "hodgkin-huxley"
+    runs = {}
+    for label, text in (("not-json", '{"command": "train", "con'),
+                        ("missing-neuron", json.dumps(missing)),
+                        ("unknown-neuron", json.dumps(unknown))):
+        run = tmp_path / label
+        run.mkdir()
+        (run / "model.ckpt").write_bytes(
+            (train_run / "model.ckpt").read_bytes())
+        (run / "manifest.json").write_text(text)
+        runs[label] = run
+    return runs
+
+
+def test_train_rejects_bad_config_before_writing_a_manifest(
+        tmp_path, train_run, capsys):
+    cases = [["--epochs", "0"],
+             ["--neuron", "spsn", "--order", "0"],
+             ["--neuron", "masked-psn", "--order", "99"],
+             ["--samples-per-class", "0"],
+             ["--hidden", "0"],
+             ["--hidden=-1"]]
+    cases += [["--from-manifest", str(run / "manifest.json")]
+              for run in _faulty_runs(train_run, tmp_path).values()]
+    for i, argv in enumerate(cases):
+        out_dir = tmp_path / f"bad{i}"
+        code = _run(["train", "--epochs", "1", "--classes", "2",
+                     "--samples-per-class", "8", *argv,
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert not (out_dir / "manifest.json").exists(), argv
+
+
+def test_eval_rejects_a_faulty_manifest(train_run, tmp_path, capsys):
+    for label, run in _faulty_runs(train_run, tmp_path).items():
+        assert _run(["eval", str(run)]) == EXIT_USAGE, label
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), label
+        if label == "missing-neuron":
+            assert "config.neuron" in err
+        assert not (run / "eval-manifest.json").exists(), label
 
 
 def test_train_rejects_bad_data_spec(tmp_path):
@@ -213,6 +262,16 @@ def test_train_on_idx_directory(tmp_path):
                  "--out-dir", str(out_dir)])
     assert code == EXIT_OK
     assert (out_dir / "history.txt").exists()
+
+
+# ------------------------------------------------------- mirrored literals
+
+
+def test_cli_choices_mirror_the_library():
+    from psn import cli, neurons, training, verify
+    assert cli._NEURON_CHOICES == neurons.KINDS
+    assert cli._SUITE_CHOICES == tuple(verify.SUITES)
+    assert cli._HEAD_CHOICES == training.HEADS
 
 
 # ----------------------------------------------------------------- verify

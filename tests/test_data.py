@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from psn.data import (SequenceBatch, _class_geometry, columnize, decolumnize,
+from psn.data import (SequenceBatch, _class_geometry, columnize,
                       load_csv_labels, load_idx_images, load_idx_labels,
                       load_idx_pair, synth_toy_dataset)
 from psn.errors import ContractError, ParseError
@@ -36,19 +36,19 @@ def test_columnize_reads_out_columns():
     # Step 0 is the left column top-to-bottom, step 1 the right column.
     np.testing.assert_array_equal(batch.inputs.data[0, 0], [1.0, 3.0])
     np.testing.assert_array_equal(batch.inputs.data[1, 0], [2.0, 4.0])
+    # N, H and W all differ, so any axis mix-up changes the shape or values.
+    imgs = np.random.default_rng(70).standard_normal((4, 6, 9))
+    imgs = imgs.astype(np.float32)
+    seq = columnize(imgs).inputs.data
+    assert seq.shape == (9, 4, 6)
+    assert seq.tobytes() == np.ascontiguousarray(
+        imgs.transpose(2, 0, 1)).tobytes()
 
 
 def test_columnize_constant_image_is_constant_sequence():
     batch = columnize(np.full((2, 3, 5), 0.25))
     assert np.all(batch.inputs.data == np.float32(0.25))
     assert batch.num_steps == 5 and batch.num_channels == 3
-
-
-def test_decolumnize_inverts_bit_exactly():
-    rng = np.random.default_rng(70)
-    imgs = rng.standard_normal((4, 6, 9)).astype(np.float32)
-    back = decolumnize(columnize(imgs))
-    assert back.tobytes() == imgs.tobytes()
 
 
 def test_columnize_rejects_empty_or_wrong_rank():

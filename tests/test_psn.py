@@ -6,9 +6,8 @@ import pytest
 from psn.errors import ContractError, ShapeMismatchError
 from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                         VanillaNeuronParams, blend_mask, build_mask,
-                        lambda_schedule, masked_psn_forward, param_count,
-                        psn_forward, spsn_build_A, spsn_forward,
-                        vanilla_sequence)
+                        lambda_schedule, masked_psn_forward, psn_forward,
+                        spsn_build_A, spsn_forward, vanilla_sequence)
 from psn.tensor import Tape, Tensor, mul, sum_all
 
 
@@ -320,34 +319,6 @@ def test_sliding_param_validation():
         SlidingPSNParams(Tensor(np.ones(2)), Tensor(np.ones(1)))
     with pytest.raises(ContractError):
         SlidingPSNParams.create(0)
-
-
-# ------------------------------------------------------------ param count
-
-
-def test_param_count_formulas():
-    assert param_count("psn", num_steps=4) == 20
-    assert param_count("masked-psn", num_steps=4) == 20
-    assert param_count("spsn", order_k=2) == 3
-    for kind in ("if", "lif", "if-no-reset", "lif-no-reset"):
-        assert param_count(kind) == 0
-
-
-def test_param_count_matches_create():
-    assert param_count("psn", num_steps=6) == sum(
-        p.data.size for p in PSNParams.create(6,
-                                              np.random.default_rng(0)).parameters())
-    assert param_count("spsn", order_k=5) == sum(
-        p.data.size for p in SlidingPSNParams.create(5).parameters())
-
-
-def test_param_count_requires_arguments():
-    with pytest.raises(ContractError):
-        param_count("psn")
-    with pytest.raises(ContractError):
-        param_count("spsn")
-    with pytest.raises(ContractError):
-        param_count("hodgkin-huxley")
 
 
 def test_all_family_spikes_are_binary():

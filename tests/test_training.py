@@ -216,6 +216,9 @@ def test_model_spec_validation():
         ModelSpec(layers=(("linear", 4),))
     with pytest.raises(ContractError):
         ModelSpec(layers=(("linear", 4, 8),), head="argmax")
+    for dims in ((4, 0), (0, 4), (4, -1)):
+        with pytest.raises(ContractError, match=">= 1"):
+            ModelSpec(layers=(("linear",) + dims,))
 
 
 def test_model_channel_mismatch():

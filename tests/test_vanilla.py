@@ -5,8 +5,10 @@ import pytest
 
 from psn.errors import ContractError
 from psn.neurons import (VanillaNeuronParams, apply_reset, charge,
-                        parallel_no_reset, vanilla_sequence, vanilla_step)
-from psn.tensor import Tensor
+                        heaviside_surrogate, parallel_no_reset,
+                        vanilla_sequence, vanilla_step)
+from psn.tensor import (Tape, Tensor, add, mul, scalar_affine, split_rows,
+                        stack_rows, sum_all)
 
 
 def _col(values):
@@ -135,6 +137,46 @@ def test_relaxed_hard_reset_interpolates_fractional_spikes():
     h = Tensor(np.array([2.0]))
     half = apply_reset(h, Tensor(np.array([0.5])), p, relaxed=True).data
     np.testing.assert_allclose(half, [1.0])
+
+
+@pytest.mark.parametrize("kind", ["if", "lif"])
+@pytest.mark.parametrize("reset_mode", ["hard", "soft"])
+def test_detached_reset_gradient_matches_a_loop_oracle(kind, reset_mode):
+    """detach_reset=True against a loop of generic ops that resets with
+    s.detached(), both on the relaxed float64 forward."""
+    rng = np.random.default_rng([34, len(kind), len(reset_mode)])
+    x0 = rng.standard_normal((7, 4)) * 1.5
+    proj = Tensor(rng.standard_normal((7, 4)))
+
+    def input_grad(forward):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(mul(forward(x), proj)))
+        return x.grad
+
+    def oracle(x):
+        v = Tensor(np.zeros(x0.shape[1]))
+        spikes = []
+        for x_t in split_rows(x):
+            h = charge(x_t, v, p)
+            s = heaviside_surrogate(h, p.v_th, relaxed=True)
+            if reset_mode == "hard":  # h + s (v_reset - h)
+                v = add(h, mul(s.detached(),
+                               scalar_affine(h, -1.0, p.v_reset)))
+            else:  # h - v_th s
+                v = add(h, scalar_affine(s.detached(), -p.v_th, 0.0))
+            spikes.append(s)
+        return stack_rows(spikes)
+
+    p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode,
+                            detach_reset=True)
+    want = input_grad(oracle)
+    got = input_grad(lambda x: vanilla_sequence(x, p, relaxed=True).s)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    honest = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
+    assert np.abs(input_grad(
+        lambda x: vanilla_sequence(x, honest, relaxed=True).s) - want
+    ).max() > 1e-4
 
 
 def test_param_validation():
