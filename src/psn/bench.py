@@ -4,7 +4,8 @@ Two grids (inference and training) time every requested neuron kind against
 the serial hard-reset LIF loop, which is the baseline every ratio is computed
 from. The memory probe runs one training step of the same synapse stack with
 no neuron, an IF neuron, and a dense parallel neuron, under the library's own
-buffer accounting rather than OS-level RSS.
+buffer accounting, and reports beside it the real peak that ``tracemalloc``
+sees over the same step (numpy reports its buffers to it; it is not RSS).
 
 Caveats that keep these numbers honest: everything here is CPU wall time in a
 single process, so the ratios are directional and machine-dependent. The
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,8 @@ class MemoryRecord:
     T: int
     N: int
     peak_tracked_bytes: int
+    # Everything allocated, temporaries included, as tracemalloc saw it.
+    peak_tracemalloc_bytes: int
 
 
 def bench_input(seed, N, T):
@@ -203,11 +207,12 @@ def run_bench(cfg):
 
 
 def _measure_config(configuration, T, N):
-    """Peak tracked bytes for one training step of the shared stack.
+    """(tracked, tracemalloc) peak bytes for one step of the shared stack.
 
     The stack is linear -> (nothing | IF | dense parallel neuron) -> linear,
     x and both weights allocated before the window opens so only step-local
-    buffers count.
+    buffers count. Both peaks are taken over the same window, above what was
+    live when it opened.
     """
     rng = np.random.default_rng([97, T, N])
     scale = 1.0 / np.sqrt(N)
@@ -223,19 +228,40 @@ def _measure_config(configuration, T, N):
     kind = _MEMORY_NEURONS[configuration]
     neuron = make(kind, T, rng) if kind else None
 
-    tracker.start()
-    with Tape() as tape:
-        pre = matmul(x, w_in)
-        z = pre if neuron is None else neuron.forward(pre).s
-        loss = sum_all(matmul(z, w_out))
-        tape.backward(loss)
-    return int(tracker.stop())
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tracker.start()
+        with Tape() as tape:
+            pre = matmul(x, w_in)
+            z = pre if neuron is None else neuron.forward(pre).s
+            loss = sum_all(matmul(z, w_out))
+            tape.backward(loss)
+        real = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracked = tracker.stop()
+        if not was_tracing:
+            tracemalloc.stop()
+    return int(tracked), int(real)
 
 
 def measure_memory(T=16, N=1024):
     """One MemoryRecord per configuration at identical (T, N)."""
-    return [MemoryRecord(c, T, N, _measure_config(c, T, N))
+    return [MemoryRecord(c, T, N, *_measure_config(c, T, N))
             for c in MEMORY_CONFIGURATIONS]
+
+
+def memory_summary(records):
+    """(peak_no_neuron, peak_if, peak_psn, excess ratio IF/parallel) of the
+    tracked peaks in ``measure_memory`` records; see ``bench_memory``."""
+    peaks = {r.configuration: r.peak_tracked_bytes for r in records}
+    d_if = peaks["if_neuron"] - peaks["no_neuron"]
+    d_psn = peaks["psn"] - peaks["no_neuron"]
+    ratio = d_if / d_psn if d_psn > 0 else float("nan")
+    return (peaks["no_neuron"], peaks["if_neuron"], peaks["psn"], ratio)
 
 
 def bench_memory(T=16, N=1024):
@@ -246,12 +272,7 @@ def bench_memory(T=16, N=1024):
     post-reset potential per step, the parallel kind only its charge, so the
     expected value sits near 2.
     """
-    peaks = {r.configuration: r.peak_tracked_bytes for r in
-             measure_memory(T, N)}
-    d_if = peaks["if_neuron"] - peaks["no_neuron"]
-    d_psn = peaks["psn"] - peaks["no_neuron"]
-    ratio = d_if / d_psn if d_psn > 0 else float("nan")
-    return (peaks["no_neuron"], peaks["if_neuron"], peaks["psn"], ratio)
+    return memory_summary(measure_memory(T, N))
 
 
 def to_csv(records):

@@ -169,8 +169,8 @@ def build_parser():
 # -- bench -----------------------------------------------------------------
 
 def cmd_bench(args):
-    from .bench import (BenchConfig, bench_memory, grid_table, run_bench,
-                        to_csv)
+    from .bench import (BenchConfig, grid_table, measure_memory,
+                        memory_summary, run_bench, to_csv)
 
     cfg = BenchConfig(
         neuron_kinds=tuple(args.kinds.split(",")),
@@ -205,11 +205,16 @@ def cmd_bench(args):
     results = {"records": len(records),
                "skipped": sum(r.status == "skipped" for r in records)}
     if args.memory:
-        m_no, m_if, m_psn, ratio = bench_memory()
+        probes = measure_memory()
+        m_no, m_if, m_psn, ratio = memory_summary(probes)
+        real = {r.configuration: r.peak_tracemalloc_bytes for r in probes}
         print(f"tracked peak bytes: no_neuron={m_no} if_neuron={m_if} "
               f"psn={m_psn}  excess ratio={ratio:.2f}")
+        print("tracemalloc peak bytes: " + " ".join(
+            f"{name}={peak}" for name, peak in real.items()))
         results["memory"] = {"no_neuron": m_no, "if_neuron": m_if,
-                             "psn": m_psn, "ratio": ratio}
+                             "psn": m_psn, "ratio": ratio,
+                             "tracemalloc_peak": real}
     manifest.finish(results)
     return EXIT_OK
 
@@ -261,13 +266,27 @@ def _build_model(config, data_batch, num_classes):
     return Model(spec, num_channels=data_batch.num_channels)
 
 
-_TRAIN_CONFIG_KEYS = ("neuron", "order", "epochs", "seed", "data", "classes",
-                      "samples_per_class", "hidden", "head", "loss",
-                      "optimizer", "lr", "batch_size")
+# Every config value a training manifest carries, with the JSON type it
+# must have: reading one back must fail as a bad input, not deep in a
+# constructor.
+_TRAIN_CONFIG_TYPES = {
+    "neuron": str, "order": int, "epochs": int, "seed": int, "data": str,
+    "classes": int, "samples_per_class": int, "hidden": int, "head": str,
+    "loss": str, "optimizer": str, "lr": float, "batch_size": int,
+}
+_TRAIN_CONFIG_KEYS = tuple(_TRAIN_CONFIG_TYPES)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _json_is(value, kind):
+    """Whether a decoded JSON value is a ``kind``; a number may be an int."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _read_train_manifest(path):
-    """A training run's manifest config, every key of it checked present."""
+    """A training run's (config, results), every value's type checked."""
     from .errors import ContractError, ParseError
 
     with open(path) as f:
@@ -280,10 +299,30 @@ def _read_train_manifest(path):
     config = run.get("config")
     if not isinstance(config, dict):
         raise ContractError(f"{path} has no config object")
-    for key in _TRAIN_CONFIG_KEYS + ("out_dir",):
+    for key, kind in (*_TRAIN_CONFIG_TYPES.items(), ("out_dir", str)):
         if key not in config:
             raise ContractError(f"{path} is missing config.{key}")
-    return config, run.get("results") or {}
+        if not _json_is(config[key], kind):
+            raise ContractError(
+                f"{path}: config.{key} must be {_TYPE_NAMES[kind]}, got "
+                f"{config[key]!r}")
+    # cmd_train maps these two through dicts; the library checks the rest.
+    for key, choices in (("loss", _LOSS_CHOICES),
+                         ("optimizer", _OPTIMIZER_CHOICES)):
+        if config[key] not in choices:
+            raise ContractError(f"{path}: config.{key} must be one of "
+                                f"{choices}, got {config[key]!r}")
+    results = run.get("results")
+    if results is None:
+        results = {}
+    if not isinstance(results, dict):
+        raise ContractError(f"{path}: results must be an object, got "
+                            f"{results!r}")
+    lam = results.get("final_lambda")
+    if lam is not None and not _json_is(lam, float):
+        raise ContractError(f"{path}: results.final_lambda must be a "
+                            f"number, got {lam!r}")
+    return config, results
 
 
 def _train_config_from_args(args):

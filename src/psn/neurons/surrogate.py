@@ -49,16 +49,21 @@ def smooth_step(x, alpha=DEFAULT_ALPHA):
     return np.arctan(0.5 * np.pi * alpha * x) / np.pi + 0.5
 
 
-def _sigma_into(x, alpha):
-    """sigma(x) computed in place; x is consumed."""
-    c = x.dtype.type(0.5 * np.pi * alpha)
+def _sigma_into(x, alpha, scale=1.0):
+    """scale * sigma(x) computed in place; x is consumed.
+
+    ``scale`` multiplies the numerator, which saves a pass when the upstream
+    gradient is one broadcast scalar. At 1.0 the result is sigma(x) exactly.
+    """
+    dtype = x.dtype.type
+    c = dtype(0.5 * np.pi * alpha)
     # Squaring huge inputs overflows to inf; sigma then rounds to 0, which
     # is the correct limit, so the overflow is not an error here.
     with np.errstate(over="ignore"):
         np.multiply(x, c, out=x)
         np.multiply(x, x, out=x)
-        x += x.dtype.type(1.0)
-        np.divide(x.dtype.type(0.5 * alpha), x, out=x)
+        x += dtype(1.0)
+        np.divide(dtype(0.5 * alpha) * dtype(scale), x, out=x)
     return x
 
 
@@ -100,8 +105,12 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
     def backward(gouts):
         g = gouts[0]
         x = hd - thb
-        dh = _sigma_into(x, alpha)
-        np.multiply(dh, g, out=dh)
+        if g.size and not any(g.strides):
+            # One scalar broadcast everywhere, as sum_all hands back.
+            dh = _sigma_into(x, alpha, g.flat[0])
+        else:
+            dh = _sigma_into(x, alpha)
+            np.multiply(dh, g, out=dh)
         if th is None or not th.requires_grad:
             return (dh,) if th is None else (dh, None)
         if mode == "scalar":

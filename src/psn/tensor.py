@@ -12,7 +12,9 @@ tape, ops run as plain numpy calls, which is what inference mode means here.
 The tape is deliberately minimal: an ordered list of op records, walked in
 exact reverse order by ``Tape.backward``. Gradients accumulate with ``+=``
 so calling backward twice doubles the leaf gradients; that is intended, and
-``zero_grad`` is the explicit reset.
+``zero_grad`` is the explicit reset. A leaf whose ``.grad`` is still None may
+take its first contribution as the ``.grad`` array itself, when backward
+owns that array outright; the sum is the same as zeros plus the contribution.
 
 Tensors may be handed between threads, but a single tape must only ever be
 used from one thread at a time. The active-tape stack is thread local.
@@ -146,9 +148,20 @@ class Tensor:
         """Same data, no grad, no tape history."""
         return Tensor._make(self.data, False)
 
-    def _accumulate_grad(self, contribution):
+    def _accumulate_grad(self, contribution, owned=False):
+        """Add ``contribution`` into ``.grad``.
+
+        ``owned`` says nothing else holds the array, so a fresh leaf of the
+        same shape and dtype takes it as ``.grad`` instead of zeros plus it.
+        """
         if self.grad is None:
-            g = np.zeros(self.data.shape, dtype=self.data.dtype)
+            data = self.data
+            if (owned and contribution.shape == data.shape
+                    and contribution.dtype == data.dtype):
+                _track_buffer(self, contribution)
+                self.grad = contribution
+                return
+            g = np.zeros(data.shape, dtype=data.dtype)
             _track_buffer(self, g)
             self.grad = g
         self.grad += contribution
@@ -223,7 +236,10 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
         ``loss`` must be a scalar tensor produced on this tape. Repeated calls
-        accumulate again; there is no implicit zeroing.
+        accumulate again; there is no implicit zeroing. A leaf whose ``.grad``
+        is None takes its first contribution as ``.grad`` when that array is
+        fresh and owned: not a view, not one of the op's output gradients and
+        not returned for two inputs of the op. Anything else is copied.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -257,11 +273,12 @@ class Tape:
             for inp, c in zip(rec.inputs, contribs):
                 if c is None or not inp.requires_grad:
                     continue
+                shared = (c.base is not None or any(c is g for g in gouts)
+                          or sum(c is d for d in contribs) > 1)
                 nid = inp.node_id
                 if nid not in produced:
-                    inp._accumulate_grad(c)
+                    inp._accumulate_grad(c, owned=not shared)
                     continue
-                shared = c.base is not None or any(c is g for g in gouts)
                 entry = grads.get(nid)
                 if entry is None:
                     grads[nid] = [c, not shared]
@@ -343,6 +360,26 @@ def taped_multi_op(inputs, out_datas, backward):
 # Ops
 
 
+# Longest contraction one GEMM call gets in a matmul backward.
+_CHUNK = 1 << 16
+
+
+def _chunked_dot(a, b):
+    """a @ b, summed over _CHUNK-wide slices of a long contraction axis.
+
+    OpenBLAS runs a skinny product with a contraction of millions (dW of a
+    PSN layer, (T, N) @ (N, T)) about 4x slower in one call than in 2^16-wide
+    pieces. Up to _CHUNK this is exactly ``a @ b``.
+    """
+    k = a.shape[1]
+    if k <= _CHUNK:
+        return a @ b
+    out = a[:, :_CHUNK] @ b[:_CHUNK]
+    for start in range(_CHUNK, k, _CHUNK):
+        out += a[:, start:start + _CHUNK] @ b[start:start + _CHUNK]
+    return out
+
+
 def matmul(a, b):
     """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N)."""
     ad, bd = a.data, b.data
@@ -353,8 +390,8 @@ def matmul(a, b):
 
     def backward(gouts):
         g = gouts[0]
-        ga = g @ bd.T if a.requires_grad else None
-        gb = ad.T @ g if b.requires_grad else None
+        ga = _chunked_dot(g, bd.T) if a.requires_grad else None
+        gb = _chunked_dot(ad.T, g) if b.requires_grad else None
         return ga, gb
 
     return taped_op((a, b), out, backward)

@@ -104,6 +104,22 @@ def test_memory_probe_orders_configurations():
     assert by_name["psn"].peak_tracked_bytes > base
 
 
+def test_memory_probe_reports_the_real_peak_beside_the_tracked_one():
+    import tracemalloc
+
+    for r in measure_memory(T=16, N=256):
+        # Every tracked buffer is a real allocation; temporaries add more.
+        assert r.peak_tracemalloc_bytes >= r.peak_tracked_bytes > 0
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert all(r.peak_tracemalloc_bytes > 0
+                   for r in measure_memory(T=16, N=256))
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_ratio_band():
     # Reset overhead of the stepwise neuron against the one-shot matrix
     # form, both measured above the same no-neuron baseline.

@@ -43,6 +43,18 @@ def test_bench_tiny_grid_writes_csv_and_manifest(tmp_path):
     assert manifest["outputs"]
 
 
+def test_bench_memory_writes_real_peaks_beside_tracked_bytes(tmp_path):
+    code = _run(["bench", "--kinds", "lif", "--n-values", "32",
+                 "--t-values", "2", "--iters", "3", "--memory",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    memory = _read_json(tmp_path / "bench-manifest.json")["results"]["memory"]
+    names = ("no_neuron", "if_neuron", "psn")
+    assert set(memory) == {*names, "ratio", "tracemalloc_peak"}
+    for name in names:
+        assert memory["tracemalloc_peak"][name] >= memory[name] > 0
+
+
 def test_bench_lif_only_ratios_are_unity(tmp_path):
     out = tmp_path / "b.csv"
     code = _run(["bench", "--kinds", "lif", "--n-values", "32",
@@ -236,6 +248,59 @@ def test_eval_rejects_a_faulty_manifest(train_run, tmp_path, capsys):
         if label == "missing-neuron":
             assert "config.neuron" in err
         assert not (run / "eval-manifest.json").exists(), label
+
+
+# One field of a real manifest changed at a time: (dotted key, bad value).
+# The last two have the right type but name no loss or optimizer.
+_MISTYPED_FIELDS = [
+    ("config.hidden", "32"), ("config.hidden", 32.0),
+    ("config.order", None), ("config.epochs", True),
+    ("config.seed", "4"), ("config.classes", [2]),
+    ("config.samples_per_class", 12.5), ("config.batch_size", "16"),
+    ("config.lr", "0.1"), ("config.lr", None), ("config.lr", False),
+    ("config.neuron", 3), ("config.data", None), ("config.head", 1),
+    ("config.loss", ["ce"]), ("config.optimizer", {}),
+    ("config.out_dir", 7), ("results", "x"), ("results", [1]),
+    ("results.final_lambda", "1.0"),
+    ("config.loss", "mse"), ("config.optimizer", "rmsprop"),
+]
+
+
+def _mistyped_run(train_run, tmp_path, i, key, value):
+    manifest = _read_json(train_run / "manifest.json")
+    *parents, leaf = key.split(".")
+    node = manifest
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    run = tmp_path / f"mistyped{i}"
+    run.mkdir()
+    (run / "model.ckpt").write_bytes((train_run / "model.ckpt").read_bytes())
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return run
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_mistyped_manifest_values_exit_2(train_run, tmp_path, capsys,
+                                         command):
+    for i, (key, value) in enumerate(_MISTYPED_FIELDS):
+        run = _mistyped_run(train_run, tmp_path, i, key, value)
+        if command == "eval":
+            argv, written = ["eval", str(run)], run / "eval-manifest.json"
+        else:
+            written = tmp_path / f"rerun{i}" / "manifest.json"
+            argv = ["train", "--from-manifest", str(run / "manifest.json"),
+                    "--out-dir", str(written.parent)]
+        assert _run(argv) == EXIT_USAGE, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, (key, value, err)
+        assert not written.exists(), (key, value)
+
+
+def test_manifest_number_fields_accept_json_ints(train_run, tmp_path):
+    # JSON has no separate float: an lr written as 1 is still a number.
+    run = _mistyped_run(train_run, tmp_path, 0, "config.lr", 1)
+    assert _run(["eval", str(run)]) == EXIT_OK
 
 
 def test_train_rejects_bad_data_spec(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from psn.errors import ContractError, ShapeMismatchError
 from psn.neurons import (SurrogateConfig, heaviside_surrogate, smooth_step,
                         surrogate_grad)
-from psn.tensor import Tape, Tensor, mul, sum_all
+from psn.tensor import Tape, Tensor, mul, sum_all, taped_op
 
 
 def test_step_values_with_threshold_one():
@@ -80,6 +80,56 @@ def test_backward_matches_fd_of_relaxed_forward():
         fd[i] = ((smooth_step(hp - 0.25) * proj).sum()
                  - ((smooth_step(hm - 0.25) * proj).sum())) / (2 * eps)
     np.testing.assert_allclose(h.grad, fd, rtol=1e-5, atol=1e-9)
+
+
+def _surrogate_grads(scale, broadcast, dtype):
+    """(h.grad, threshold.grad) of scale * sum(spikes); the upstream gradient
+    reaches the firing op as one broadcast scalar or as a full array."""
+    rng = np.random.default_rng(23)
+    h = Tensor(rng.uniform(-2.0, 2.0, size=(5, 64)).astype(dtype),
+               requires_grad=True)
+    th = Tensor(np.full(5, 0.3, dtype=dtype), requires_grad=True)
+    with Tape() as tape:
+        s = heaviside_surrogate(h, th)
+        shape = s.data.shape
+
+        def backward(gouts):
+            k = gouts[0] * dtype(scale)
+            if broadcast:
+                return (np.broadcast_to(k, shape),)
+            return (np.full(shape, k, dtype=dtype),)
+
+        tape.backward(taped_op((s,), np.asarray(s.data.sum()), backward))
+    return h.grad, th.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_broadcast_unit_gradient_folds_bit_for_bit(dtype):
+    folded = _surrogate_grads(1.0, True, dtype)
+    multiplied = _surrogate_grads(1.0, False, dtype)
+    for a, b in zip(folded, multiplied):
+        assert a.dtype == dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_broadcast_scaled_gradient_folds_within_one_ulp(dtype, monkeypatch):
+    from psn.neurons import surrogate
+
+    scales = []
+
+    def spy(x, alpha, *scale):
+        scales.append(scale)
+        return sigma_into(x, alpha, *scale)
+
+    sigma_into = surrogate._sigma_into
+    monkeypatch.setattr(surrogate, "_sigma_into", spy)
+    folded_h, _ = _surrogate_grads(0.37, True, dtype)
+    multiplied_h, _ = _surrogate_grads(0.37, False, dtype)
+    # Only the broadcast gradient is folded into sigma's numerator.
+    assert scales == [(dtype(0.37),), ()]
+    np.testing.assert_array_max_ulp(folded_h, multiplied_h, maxulp=1)
+    assert not np.array_equal(folded_h, np.zeros_like(folded_h))
 
 
 def test_relaxed_forward_is_smooth_step():

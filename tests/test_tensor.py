@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError, ShapeMismatchError
-from psn.tensor import (Tape, Tensor, active_tape, add, matmul, mean_axis0,
-                        mul, no_tape, reshape, scalar_affine, split_rows,
-                        stack_rows, sub, sum_all)
+from psn.tensor import (_CHUNK, Tape, Tensor, _chunked_dot, active_tape, add,
+                        matmul, mean_axis0, mul, no_tape, reshape,
+                        scalar_affine, split_rows, stack_rows, sub, sum_all,
+                        taped_op, tracker)
 
 
 def _fd_grad(f, x0, eps=1e-3):
@@ -163,6 +164,144 @@ def test_matmul_grad_structure_and_fd():
                                rtol=1e-12)
     fd = _fd_grad(lambda wv: (wv @ x_const).sum(), w0)
     np.testing.assert_allclose(w.grad, fd, rtol=1e-6, atol=1e-8)
+
+
+def _long_matmul_grads(dtype, k):
+    """(w.grad, x.grad, float64 references) of sum(r * (W X)), X of width k."""
+    rng = np.random.default_rng([5, k])
+    w0 = rng.standard_normal((2, 3))
+    x0 = rng.standard_normal((3, k))
+    r0 = rng.standard_normal((2, k))
+    w = Tensor(w0.astype(dtype), requires_grad=True)
+    x = Tensor(x0.astype(dtype), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(mul(matmul(w, x), Tensor(r0.astype(dtype)))))
+    w64, x64, r64 = (a.astype(dtype).astype(np.float64) for a in (w0, x0, r0))
+    return w, x, r64 @ x64.T, w64.T @ r64
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-4),
+                                         (np.float64, 1e-12)])
+def test_long_contraction_is_chunked_and_matches_the_plain_product(dtype,
+                                                                   rtol):
+    k = 3 * _CHUNK + 5
+    w, x, w_ref, x_ref = _long_matmul_grads(dtype, k)
+    assert w.grad.dtype == dtype and x.grad.dtype == dtype
+    scale = np.abs(w_ref).max()
+    np.testing.assert_allclose(w.grad, w_ref, rtol=rtol, atol=rtol * scale)
+    np.testing.assert_allclose(x.grad, x_ref, rtol=rtol, atol=rtol)
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((2, k)).astype(dtype)
+    b = rng.standard_normal((k, 3)).astype(dtype)
+    np.testing.assert_allclose(_chunked_dot(a, b), a @ b, rtol=rtol,
+                               atol=rtol * np.abs(a @ b).max())
+
+
+@pytest.mark.parametrize("k", [1, 7, _CHUNK])
+def test_short_contraction_is_the_plain_product_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((3, k), dtype=np.float32)
+    b = rng.standard_normal((k, 2), dtype=np.float32)
+    assert np.array_equal(_chunked_dot(a, b), a @ b)
+    assert np.array_equal(_chunked_dot(b.T, a.T), b.T @ a.T)
+
+    w = Tensor(rng.standard_normal((2, 3), dtype=np.float32),
+               requires_grad=True)
+    x = Tensor(a, requires_grad=True)
+    r = rng.standard_normal((2, k), dtype=np.float32)
+    with Tape() as tape:
+        tape.backward(sum_all(mul(matmul(w, x), Tensor(r))))
+    assert np.array_equal(w.grad, r @ a.T)
+    assert np.array_equal(x.grad, w.data.T @ r)
+
+
+def _op_returning(inputs, backward):
+    """A taped scalar op (the sum of its first input) with a given backward."""
+    return taped_op(inputs, np.asarray(inputs[0].data.sum()), backward)
+
+
+def test_fresh_leaf_adopts_an_owned_contribution():
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    given = []
+
+    def backward(gouts):
+        c = np.arange(1.0, 4.0, dtype=np.float32)
+        given.append(c)
+        return (c,)
+
+    with Tape() as tape:
+        loss = _op_returning((x,), backward)
+        tape.backward(loss)
+        assert x.grad is given[0]
+        tape.backward(loss)
+    # The second call adds into the adopted array; it does not re-adopt.
+    assert x.grad is given[0]
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+
+def test_adopted_gradient_is_still_tracked():
+    x = Tensor(np.zeros(1024, dtype=np.float32), requires_grad=True)
+    tracker.start()
+    try:
+        with Tape() as tape:
+            loss = _op_returning(
+                (x,), lambda gouts: (np.ones(1024, dtype=np.float32),))
+            before = tracker.live_bytes
+            tape.backward(loss)
+            assert tracker.live_bytes - before == x.grad.nbytes
+        # Only the loss and the gradient were allocated in the window.
+        del tape, loss, x
+        assert tracker.live_bytes == 0
+    finally:
+        tracker.stop()
+
+
+def _assert_copied(grads, contribution):
+    for g in grads:
+        assert g is not contribution
+        assert not np.shares_memory(g, contribution)
+
+
+def test_shared_contributions_are_copied_into_a_fresh_gradient():
+    buf = np.arange(1.0, 7.0, dtype=np.float32)
+    # A view of a buffer the op still holds.
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(_op_returning((x,), lambda gouts: (buf[:3],)))
+    _assert_copied([x.grad], buf)
+    np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+
+    # The op's own output gradient, handed back unchanged.
+    x = Tensor(np.zeros((), dtype=np.float32), requires_grad=True)
+    seen = []
+
+    def pass_through(gouts):
+        seen.append(gouts[0])
+        return gouts
+
+    with Tape() as tape:
+        tape.backward(_op_returning((x,), pass_through))
+    _assert_copied([x.grad], seen[0])
+    assert x.grad == 1.0
+
+    # Another dtype: cast into a gradient of the leaf's own dtype.
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    c64 = np.full(3, 0.5)
+    with Tape() as tape:
+        tape.backward(_op_returning((x,), lambda gouts: (c64,)))
+    assert x.grad.dtype == np.float32
+    _assert_copied([x.grad], c64)
+
+    # One array returned for two inputs: each leaf gets its own copy.
+    a = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    twice = np.full(3, 2.0, dtype=np.float32)
+    with Tape() as tape:
+        tape.backward(_op_returning((a, b), lambda gouts: (twice, twice)))
+    _assert_copied([a.grad, b.grad], twice)
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, twice)
 
 
 def test_scalar_affine_grad_is_uniform_scale():
