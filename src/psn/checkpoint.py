@@ -98,8 +98,8 @@ def load_checkpoint(path):
         if len(fields) != 4:
             raise ParseError("malformed header entry", offset=line_start)
         name = fields[0].decode("ascii", errors="replace")
-        shape_s = fields[1].decode()
         try:
+            shape_s = fields[1].decode("ascii")
             shape = () if shape_s == "-" else tuple(
                 int(d) for d in shape_s.split(","))
             off = int(fields[2])

@@ -386,6 +386,7 @@ def cmd_train(args):
         "final_test_accuracy": last("test", "accuracy"),
         "final_lambda": model.masked_lambda(),
         "epochs": config["epochs"],
+        "epoch_seconds": history.epoch_seconds,
     }
     manifest.finish(results)
     print(f"train accuracy {results['final_train_accuracy']:.4f}  "

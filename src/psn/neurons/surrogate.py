@@ -104,7 +104,9 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
 
     def backward(gouts):
         g = gouts[0]
-        x = hd - thb
+        # asarray: on a 0-d charge the difference is a numpy scalar, which
+        # _sigma_into could not write into.
+        x = np.asarray(hd - thb)
         if g.size and not any(g.strides):
             # One scalar broadcast everywhere, as sum_all hands back.
             dh = _sigma_into(x, alpha, g.flat[0])

@@ -170,32 +170,6 @@ class Tensor:
         return (f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, "
                 f"requires_grad={self.requires_grad})")
 
-    # Operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scalar_affine(self, 1.0, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return scalar_affine(self, 1.0, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scalar_affine(self, -1.0, 0.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _OpRecord:
     __slots__ = ("inputs", "output_ids", "backward")
@@ -346,16 +320,6 @@ def taped_op(inputs, out_data, backward):
     return out
 
 
-def taped_multi_op(inputs, out_datas, backward):
-    """Like ``taped_op`` for ops with several outputs (e.g. splitting rows)."""
-    rg = any(t.requires_grad for t in inputs)
-    outs = [Tensor._make(d, rg) for d in out_datas]
-    tape = active_tape()
-    if rg and tape is not None:
-        tape.record(inputs, outs, backward)
-    return outs
-
-
 # ---------------------------------------------------------------------------
 # Ops
 
@@ -397,6 +361,35 @@ def matmul(a, b):
     return taped_op((a, b), out, backward)
 
 
+def linear(x, w, b):
+    """x @ w + b on the last axis, one taped op: (..., I) -> (..., O).
+
+    The leading axes are flattened into one GEMM with the (I, O) weight,
+    written straight into the output's own buffer, and the (O,) bias is
+    added to every row.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    if (xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
+            or bd.shape != wd.shape[1:]):
+        raise ShapeMismatchError(
+            f"linear needs (..., I) @ (I, O) + (O,), got {xd.shape} @ "
+            f"{wd.shape} + {bd.shape}")
+    flat = xd.reshape(-1, wd.shape[0])
+    out = np.empty(xd.shape[:-1] + bd.shape, dtype=np.result_type(xd, wd))
+    np.matmul(flat, wd, out=out.reshape(flat.shape[0], wd.shape[1]))
+    out += bd
+
+    def backward(gouts):
+        g = gouts[0].reshape(-1, wd.shape[1])
+        gx = (_chunked_dot(g, wd.T).reshape(xd.shape) if x.requires_grad
+              else None)
+        gw = _chunked_dot(flat.T, g) if w.requires_grad else None
+        gb = _column_sum(g) if b.requires_grad else None
+        return gx, gw, gb
+
+    return taped_op((x, w, b), out, backward)
+
+
 def _broadcast_rule(a_shape, b_shape):
     """How b broadcasts against a: 'same', 'row' (b indexes a's leading axis,
     broadcast over the rest), or 'trailing' (b matches a's last axis)."""
@@ -415,13 +408,26 @@ def _apply_broadcast(bd, rule, a_ndim):
     return bd
 
 
+def _column_sum(g):
+    """g.sum(axis=0) of a 2-D array, bit for bit, without numpy's row loop.
+
+    numpy reduces axis 0 of a C-ordered array one row at a time, at several
+    times the cost of ``einsum``, which adds the rows in the same order and
+    so gives the same bits. A single column is the exception: ``sum`` then
+    adds pairwise. A Fortran-ordered array is summed pairwise too.
+    """
+    if g.shape[1] >= 2 and g.flags.c_contiguous:
+        return np.einsum("ij->j", g)
+    return g.sum(axis=0)
+
+
 def _reduce_broadcast(g, rule):
     if rule == "same":
         return g
     if rule == "row":
         return g.reshape(g.shape[0], -1).sum(axis=1)
     # trailing: sum over every leading axis
-    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return _column_sum(g.reshape(-1, g.shape[-1]))
 
 
 def _elementwise_shapes(op_name, a, b):
@@ -443,20 +449,6 @@ def add(a, b):
         g = gouts[0]
         ga = g if a.requires_grad else None
         gb = _reduce_broadcast(g, rule) if b.requires_grad else None
-        return ga, gb
-
-    return taped_op((a, b), out, backward)
-
-
-def sub(a, b):
-    rule = _elementwise_shapes("sub", a, b)
-    bd = _apply_broadcast(b.data, rule, a.data.ndim)
-    out = a.data - bd
-
-    def backward(gouts):
-        g = gouts[0]
-        ga = g if a.requires_grad else None
-        gb = -_reduce_broadcast(g, rule) if b.requires_grad else None
         return ga, gb
 
     return taped_op((a, b), out, backward)
@@ -555,7 +547,12 @@ def split_rows(a):
                 full[t] = g
         return (full,)
 
-    return taped_multi_op((a,), rows, backward)
+    rg = a.requires_grad
+    outs = [Tensor._make(r, rg) for r in rows]
+    tape = active_tape()
+    if rg and tape is not None:
+        tape.record((a,), outs, backward)
+    return outs
 
 
 def stack_rows(rows):

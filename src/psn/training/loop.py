@@ -17,6 +17,7 @@ used, and lambda when a masked PSN is present.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,16 @@ class TrainConfig:
 
 
 class History:
-    """Ordered (epoch, split, metric, value) records with a text form."""
+    """Ordered (epoch, split, metric, value) records with a text form.
+
+    ``epoch_seconds`` holds the wall time of each epoch ``train`` ran. It
+    is kept apart from the records, so the text form stays bit-identical
+    across executions.
+    """
 
     def __init__(self, records=None):
         self.records = list(records or [])
+        self.epoch_seconds = []
 
     def add(self, epoch, split, metric, value):
         self.records.append((int(epoch), split, metric, float(value)))
@@ -140,7 +147,11 @@ def evaluate(model, batch, batch_size=256, head=None):
 
 
 def train(model_or_spec, train_batch, test_batch, cfg, history=None):
-    """Run the full loop; returns the History (also mutated in place)."""
+    """Run the full loop; returns the History (also mutated in place).
+
+    Each epoch's wall time, evaluation included, is appended to the
+    history's ``epoch_seconds``.
+    """
     if isinstance(model_or_spec, Model):
         model = model_or_spec
     else:
@@ -155,6 +166,7 @@ def train(model_or_spec, train_batch, test_batch, cfg, history=None):
     has_masked = model.masked_lambda() is not None
 
     for epoch in range(cfg.epochs):
+        started = time.perf_counter()
         if has_masked and cfg.lambda_schedule_enabled:
             lam = (lambda_schedule(epoch, cfg.epochs)
                    if cfg.epochs >= 2 else 1.0)
@@ -191,5 +203,6 @@ def train(model_or_spec, train_batch, test_batch, cfg, history=None):
             history.add(epoch, "test", f"firing_rate.{i}", rate)
         if has_masked:
             history.add(epoch, "train", "lambda", model.masked_lambda())
+        history.epoch_seconds.append(time.perf_counter() - started)
 
     return history

@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ContractError, DivergenceError
 from ..neurons import (KINDS, T_SIZED_KINDS, MaskedPSNParams,
                        SurrogateConfig, make)
-from ..tensor import Tensor, add, matmul, reshape
+from ..tensor import Tensor, linear, reshape
 
 HEADS = ("time-averaged", "per-step")
 
@@ -76,14 +76,9 @@ class LinearLayer:
         self.bias = Tensor(
             rng.uniform(-bound, bound, size=out_dim).astype(dtype),
             requires_grad=True)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
 
     def __call__(self, x):
-        T, N = x.data.shape[0], x.data.shape[1]
-        flat = reshape(x, (T * N, self.in_dim))
-        y = add(matmul(flat, self.weight), self.bias)
-        return reshape(y, (T, N, self.out_dim))
+        return linear(x, self.weight, self.bias)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}

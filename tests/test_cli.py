@@ -109,6 +109,8 @@ def test_train_writes_the_run_directory(train_run):
     assert manifest["config"]["neuron"] == "psn"
     assert manifest["config"]["epochs"] == 2
     assert 0.0 <= manifest["results"]["final_test_accuracy"] <= 1.0
+    seconds = manifest["results"]["epoch_seconds"]
+    assert len(seconds) == 2 and all(s > 0 for s in seconds)
     history = (train_run / "history.txt").read_text()
     assert history.count("\ttrain\tloss\t") == 2
 
@@ -163,6 +165,21 @@ def test_eval_rejects_a_malformed_checkpoint(train_run, tmp_path, capsys):
                      + blob[line_end:])
     assert _run(["eval", str(run)]) == EXIT_USAGE
     assert "offset" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_non_ascii_shape_in_a_checkpoint(train_run, tmp_path,
+                                                        capsys):
+    import shutil
+    run = tmp_path / "run"
+    shutil.copytree(train_run, run)
+    ckpt = run / "model.ckpt"
+    blob = ckpt.read_bytes()
+    # Put a byte that is not UTF-8 into the first entry's shape field.
+    first = blob.index(b"\n", blob.index(b"count")) + 1
+    shape_at = blob.index(b" ", first) + 1
+    ckpt.write_bytes(blob[:shape_at] + b"\xff" + blob[shape_at:])
+    assert _run(["eval", str(run)]) == EXIT_USAGE
+    assert "malformed header entry" in capsys.readouterr().err
 
 
 def test_train_masked_records_lambda(tmp_path):

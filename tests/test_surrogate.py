@@ -186,3 +186,12 @@ def test_huge_inputs_stay_finite():
         tape.backward(sum_all(s))
     np.testing.assert_array_equal(s.data, [1.0, 0.0])
     assert np.all(np.isfinite(h.grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_d_charge_backward(dtype):
+    h = Tensor(dtype(0.5), requires_grad=True, dtype=dtype)
+    with Tape() as tape:
+        tape.backward(sum_all(heaviside_surrogate(h, 1.0)))
+    assert h.grad.shape == () and h.grad.dtype == dtype
+    assert h.grad == pytest.approx(surrogate_grad(-0.5), rel=1e-6)

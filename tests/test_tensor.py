@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError, ShapeMismatchError
-from psn.tensor import (_CHUNK, Tape, Tensor, _chunked_dot, active_tape, add,
-                        matmul, mean_axis0, mul, no_tape, reshape,
-                        scalar_affine, split_rows, stack_rows, sub, sum_all,
-                        taped_op, tracker)
+from psn.tensor import (_CHUNK, Tape, Tensor, _chunked_dot, _column_sum,
+                        active_tape, add, linear, matmul, mean_axis0, mul,
+                        no_tape, reshape, scalar_affine, split_rows,
+                        stack_rows, sum_all, taped_op, tracker)
 
 
 def _fd_grad(f, x0, eps=1e-3):
@@ -77,21 +77,21 @@ def test_mul_by_zero_annihilates_value_and_gradient():
     np.testing.assert_array_equal(x.grad, np.zeros(2))
 
 
-def test_sub_row_broadcast_is_per_row():
+def test_add_row_broadcast_is_per_row():
     h = np.arange(12.0).reshape(3, 4)
     b = np.array([10.0, 20.0, 30.0])
-    out = sub(Tensor(h), Tensor(b))
-    np.testing.assert_array_equal(out.data, h - b[:, None])
+    out = add(Tensor(h), Tensor(b))
+    np.testing.assert_array_equal(out.data, h + b[:, None])
 
 
-def test_sub_broadcast_perturbation_stays_in_its_row():
+def test_add_broadcast_perturbation_stays_in_its_row():
     # Changing threshold entry t may only move row t of the output.
     h = Tensor(np.ones((4, 5)))
     b0 = np.zeros(4)
     b1 = b0.copy()
     b1[2] = 0.25
-    base = sub(h, Tensor(b0)).data
-    bumped = sub(h, Tensor(b1)).data
+    base = add(h, Tensor(b0)).data
+    bumped = add(h, Tensor(b1)).data
     diff_rows = np.nonzero(np.any(base != bumped, axis=1))[0]
     np.testing.assert_array_equal(diff_rows, [2])
 
@@ -215,6 +215,95 @@ def test_short_contraction_is_the_plain_product_bit_for_bit(k):
     assert np.array_equal(x.grad, w.data.T @ r)
 
 
+def _linear_by_composition(x, w, b):
+    """linear's reference: reshape, matmul, add, reshape, as four ops."""
+    lead = x.data.shape[:-1]
+    flat = reshape(x, (-1, w.data.shape[0]))
+    y = add(matmul(flat, w), b)
+    return reshape(y, lead + (w.data.shape[1],))
+
+
+def _linear_run(op, x0, w0, b0, r0, x_grad):
+    x = Tensor(x0, requires_grad=x_grad)
+    w = Tensor(w0, requires_grad=True)
+    b = Tensor(b0, requires_grad=True)
+    with Tape() as tape:
+        y = op(x, w, b)
+        tape.backward(sum_all(mul(y, Tensor(r0))))
+    return y, x, w, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("x_shape", [(9, 6), (5, 7, 6)])
+def test_linear_matches_the_composition_bit_for_bit(dtype, x_grad, x_shape):
+    rng = np.random.default_rng([11, len(x_shape)])
+    x0 = rng.standard_normal(x_shape).astype(dtype)
+    w0 = rng.standard_normal((6, 4)).astype(dtype)
+    b0 = rng.standard_normal(4).astype(dtype)
+    r0 = rng.standard_normal(x_shape[:-1] + (4,)).astype(dtype)
+    y, x, w, b = _linear_run(linear, x0, w0, b0, r0, x_grad)
+    y_ref, x_ref, w_ref, b_ref = _linear_run(_linear_by_composition, x0, w0,
+                                             b0, r0, x_grad)
+    assert y.data.shape == y_ref.data.shape and y.data.dtype == dtype
+    assert y.data.tobytes() == y_ref.data.tobytes()
+    assert w.grad.tobytes() == w_ref.grad.tobytes()
+    assert b.grad.tobytes() == b_ref.grad.tobytes()
+    if x_grad:
+        assert x.grad.shape == x_shape
+        assert x.grad.tobytes() == x_ref.grad.tobytes()
+    else:
+        assert x.grad is None and x_ref.grad is None
+
+
+def test_linear_is_one_op_that_owns_its_output():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    with Tape() as tape:
+        y = linear(x, w, b)
+    assert len(tape) == 1
+    assert y.data.shape == (3, 4, 2) and y.data.base is None
+    np.testing.assert_allclose(y.data, x.data @ w.data + b.data, rtol=1e-12)
+
+
+def test_linear_adds_the_bias_per_column_when_rows_equal_columns():
+    # With as many rows as output columns the bias is still per column;
+    # add's broadcast rule would read it as per row.
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((4, 3))
+    w0 = rng.standard_normal((3, 4))
+    b0 = np.arange(4.0)
+    y = linear(Tensor(x0), Tensor(w0), Tensor(b0))
+    np.testing.assert_array_equal(y.data, x0 @ w0 + b0[None, :])
+
+
+def test_linear_shape_errors():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatchError):
+        linear(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeMismatchError):
+        linear(x, Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeMismatchError):
+        linear(x, Tensor(np.zeros(3)), Tensor(np.zeros(())))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_column_sum_is_sum_over_rows_bit_for_bit(dtype):
+    rng = np.random.default_rng(14)
+    for m in (0, 1, 2, 3, 7, 64, 1000, 1024, 4099):
+        for n in (1, 2, 3, 4, 5, 16, 17, 32, 100):
+            # Mixed magnitudes, so the order of the additions shows.
+            g = (rng.standard_normal((m, n))
+                 * 10.0 ** rng.uniform(-4, 4, (m, n))).astype(dtype)
+            for a in (g, np.asfortranarray(g), g[::2], g[:, ::-1],
+                      np.broadcast_to(g[:1], g.shape)):
+                got = _column_sum(a)
+                assert got.dtype == dtype and got.shape == (n,)
+                assert got.tobytes() == a.sum(axis=0).tobytes(), (m, n)
+
+
 def _op_returning(inputs, backward):
     """A taped scalar op (the sum of its first input) with a given backward."""
     return taped_op(inputs, np.asarray(inputs[0].data.sum()), backward)
@@ -314,7 +403,6 @@ def test_scalar_affine_grad_is_uniform_scale():
 
 @pytest.mark.parametrize("op,f", [
     (add, lambda a, b: a + b),
-    (sub, lambda a, b: a - b),
     (mul, lambda a, b: a * b),
 ])
 def test_elementwise_grads_match_fd(op, f):
@@ -337,9 +425,9 @@ def test_row_broadcast_grad_reduces_to_vector():
     b0 = rng.standard_normal(3)
     b = Tensor(b0.copy(), requires_grad=True)
     with Tape() as tape:
-        tape.backward(sum_all(sub(Tensor(h0), b)))
-    np.testing.assert_allclose(b.grad, np.full(3, -5.0), rtol=1e-12)
-    fd = _fd_grad(lambda v: (h0 - v[:, None]).sum(), b0)
+        tape.backward(sum_all(add(Tensor(h0), b)))
+    np.testing.assert_allclose(b.grad, np.full(3, 5.0), rtol=1e-12)
+    fd = _fd_grad(lambda v: (h0 + v[:, None]).sum(), b0)
     np.testing.assert_allclose(b.grad, fd, rtol=1e-6)
 
 

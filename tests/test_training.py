@@ -187,6 +187,83 @@ def test_decoupled_weight_decay_shrinks_without_gradient_coupling():
     np.testing.assert_allclose(p.data, [10.0 - 0.1], rtol=1e-6)
 
 
+def _sgd_reference(params, grads, velocity, lr, momentum, weight_decay):
+    """One SGD-with-momentum step, parameter by parameter."""
+    for p, g, v in zip(params, grads, velocity):
+        if g is None:
+            continue
+        if weight_decay:
+            g = g + weight_decay * p
+        v *= momentum
+        v += g
+        p -= np.asarray(lr * v, dtype=p.dtype)
+
+
+def _adam_reference(params, grads, m_state, v_state, t, lr, weight_decay,
+                    b1=0.9, b2=0.999, eps=1e-8):
+    """One AdamLike step, parameter by parameter."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for p, g, m, v in zip(params, grads, m_state, v_state):
+        if g is None:
+            continue
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p
+        p -= np.asarray(lr * update, dtype=p.dtype)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype,
+                                                    weight_decay):
+    rng = np.random.default_rng([31, int(weight_decay > 0)])
+    shapes = [(5, 3), (), (7,), (2, 2, 3), (4,)]
+    gradless = 3  # never gets a gradient; the 0-d one skips step 2 only
+    init = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    params = [Tensor(a.copy(), requires_grad=True) for a in init]
+    if kind == "sgd":
+        opt = SGDMomentum(params, lr=0.1, momentum=0.8,
+                          weight_decay=weight_decay)
+        state = [[np.zeros_like(a) for a in init]]
+    else:
+        opt = AdamLike(params, lr=0.01, weight_decay=weight_decay)
+        state = [[np.zeros_like(a) for a in init] for _ in range(2)]
+    ref = [a.copy() for a in init]
+    for t in range(1, 5):
+        # train() sets a numpy float64 rate from the cosine schedule.
+        lr = opt.lr = np.float64(opt.lr) if t % 2 else float(opt.lr)
+        grads = [None if i == gradless or (i, t) == (1, 2) else
+                 (rng.standard_normal(s) * 10.0 ** (i - 2)).astype(dtype)
+                 for i, s in enumerate(shapes)]
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+        if kind == "sgd":
+            _sgd_reference(ref, grads, state[0], lr, 0.8, weight_decay)
+        else:
+            _adam_reference(ref, grads, state[0], state[1], t, lr,
+                            weight_decay)
+        for p, r in zip(params, ref):
+            assert p.data.dtype == dtype and p.data.shape == r.shape
+            assert p.data.tobytes() == r.tobytes()
+    assert params[gradless].data.tobytes() == init[gradless].tobytes()
+
+
+def test_optimizers_refuse_mixed_dtypes():
+    p32 = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    p64 = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
+    for opt_cls in (SGDMomentum, AdamLike):
+        with pytest.raises(ContractError, match="dtype"):
+            opt_cls([p32, p64], lr=0.1)
+        opt_cls([p32, Tensor(np.zeros(3, dtype=np.float32))], lr=0.1)
+
+
 def test_lr_schedules():
     assert cosine_lr(1.0, 0, 11) == pytest.approx(1.0)
     assert cosine_lr(1.0, 10, 11) == pytest.approx(0.0, abs=1e-12)
@@ -338,6 +415,10 @@ def test_history_contract_per_epoch():
     assert len(hist.series("test", "firing_rate.0")) == 3
     epochs = [e for e, _ in hist.series("train", "loss")]
     assert epochs == [0, 1, 2]
+    # Wall times ride beside the records, never in the text form.
+    assert len(hist.epoch_seconds) == 3
+    assert all(s > 0 for s in hist.epoch_seconds)
+    assert "seconds" not in hist.to_text()
 
 
 def test_history_text_roundtrip(tmp_path):
