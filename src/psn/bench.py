@@ -34,9 +34,6 @@ MEMORY_CONFIGURATIONS = tuple(_MEMORY_NEURONS)
 DEFAULT_N_VALUES = (2 ** 8, 2 ** 12, 2 ** 16, 2 ** 20)
 DEFAULT_T_VALUES = (2, 4, 8, 16, 32, 64)
 
-# N at or above this is dropped when skip_large is set.
-SKIP_LARGE_N = 2 ** 20
-
 CSV_COLUMNS = ("neuron_kind", "N", "T", "mode",
                "wall_time_seconds", "ratio_vs_baseline", "status")
 
@@ -50,7 +47,6 @@ class BenchConfig:
     warmup_iters: int = 1
     measured_iters: int = 5
     seed: int = 0
-    skip_large: bool = False
     # Recorded so reports from different machines stay comparable; the
     # benchmark itself never spawns threads.
     threads: int | None = None
@@ -150,9 +146,6 @@ def _skipped(kind, N, T, mode):
 
 def _run_cell(cfg, mode, N, T):
     """All records for one (N, T) grid cell, baseline timed exactly once."""
-    if cfg.skip_large and N >= SKIP_LARGE_N:
-        return [_skipped(kind, N, T, mode) for kind in cfg.neuron_kinds]
-
     x_data = bench_input(cfg.seed, N, T)
 
     try:

@@ -48,18 +48,54 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _openblas():
+    """(effective thread count, build string) of numpy's bundled OpenBLAS.
+
+    Read through ctypes from the 64-bit-integer scipy-openblas library that
+    numpy wheels ship in ``numpy.libs``; (None, None) when there is none.
+    The count is what the library runs with, whatever ``--threads`` asked.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    site = os.path.dirname(os.path.dirname(numpy.__file__))
+    paths = sorted(glob.glob(os.path.join(site, "numpy.libs",
+                                          "*openblas*.so*")))
+    if not paths:
+        return None, None
+    try:
+        lib = ctypes.CDLL(paths[0])
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        get_config = lib.scipy_openblas_get_config64_
+    except (OSError, AttributeError):
+        return None, None
+    get_threads.argtypes = get_config.argtypes = []
+    get_threads.restype = ctypes.c_int
+    get_config.restype = ctypes.c_char_p
+    return int(get_threads()), get_config().decode()
+
+
 class Manifest:
-    """Run description written before work starts, completed afterwards."""
+    """Run description written before work starts, completed afterwards.
+
+    ``threads`` echoes the requested cap; ``blas_threads_effective`` and
+    ``blas_build`` record what numpy's OpenBLAS actually runs with.
+    """
 
     def __init__(self, path, command, config, seed, threads):
         from . import __version__
 
+        blas_threads, blas_build = _openblas()
         self.path = path
         self.body = {
             "command": command,
             "version": __version__,
             "seed": seed,
             "threads": threads,
+            "blas_threads_effective": blas_threads,
+            "blas_build": blas_build,
             "config": config,
             "start_time": _now(),
             "end_time": None,
@@ -113,8 +149,6 @@ def build_parser():
     b.add_argument("--warmup", type=int, default=1)
     b.add_argument("--iters", type=int, default=5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--skip-large", action="store_true",
-                   help="mark the largest-N rows skipped instead of running")
     b.add_argument("--memory", action="store_true",
                    help="also run the tracked-allocation probe")
     b.add_argument("--out", default=None,
@@ -180,7 +214,6 @@ def cmd_bench(args):
         warmup_iters=args.warmup,
         measured_iters=args.iters,
         seed=args.seed,
-        skip_large=args.skip_large,
         threads=args.resolved_threads)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -192,7 +225,7 @@ def cmd_bench(args):
                 "t_values": list(cfg.t_values),
                 "warmup_iters": cfg.warmup_iters,
                 "measured_iters": cfg.measured_iters,
-                "skip_large": cfg.skip_large, "memory": args.memory},
+                "memory": args.memory},
         seed=cfg.seed, threads=cfg.threads)
     manifest.body["outputs"]["csv"] = os.path.abspath(csv_path)
     manifest.write()

@@ -38,12 +38,6 @@ class SurrogateConfig:
             raise ContractError(f"surrogate alpha must be > 0, got {self.alpha}")
 
 
-def surrogate_grad(x, alpha=DEFAULT_ALPHA):
-    """sigma(x) on plain arrays."""
-    c = 0.5 * np.pi * alpha
-    return alpha / (2.0 * (1.0 + np.square(c * x)))
-
-
 def smooth_step(x, alpha=DEFAULT_ALPHA):
     """Antiderivative of sigma: arctan(pi/2 * alpha * x) / pi + 1/2."""
     return np.arctan(0.5 * np.pi * alpha * x) / np.pi + 0.5
@@ -97,10 +91,11 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
         mode = "const"
         thb = hd.dtype.type(threshold)
 
+    # asarray: on a 0-d charge both forms give a numpy scalar.
     if relaxed:
-        s_data = smooth_step(hd - thb, alpha)
+        s_data = np.asarray(smooth_step(hd - thb, alpha))
     else:
-        s_data = np.greater_equal(hd, thb).astype(hd.dtype)
+        s_data = np.asarray(np.greater_equal(hd, thb).astype(hd.dtype))
 
     def backward(gouts):
         g = gouts[0]

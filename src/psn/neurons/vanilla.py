@@ -90,7 +90,8 @@ def apply_reset(h, s, p, relaxed=False):
         if relaxed:
             out = hd + sd * (v_reset - hd)
         else:
-            out = np.where(sd != 0, v_reset, hd)
+            # where() reads a float condition as != 0, NaN included.
+            out = np.where(sd, v_reset, hd)
 
         def backward(gouts):
             g = gouts[0]

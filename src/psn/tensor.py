@@ -10,11 +10,15 @@ context manager) whenever at least one input requires grad. With no active
 tape, ops run as plain numpy calls, which is what inference mode means here.
 
 The tape is deliberately minimal: an ordered list of op records, walked in
-exact reverse order by ``Tape.backward``. Gradients accumulate with ``+=``
-so calling backward twice doubles the leaf gradients; that is intended, and
-``zero_grad`` is the explicit reset. A leaf whose ``.grad`` is still None may
-take its first contribution as the ``.grad`` array itself, when backward
-owns that array outright; the sum is the same as zeros plus the contribution.
+exact reverse order by ``Tape.backward``. A record is the plain tuple
+``(inputs, out_ids, backward)`` (input tensors, output node ids, the op's
+backward function), so recording an op costs one list append, and an op
+whose inputs need no grad looks up no tape at all. Gradients accumulate
+with ``+=`` so calling backward twice doubles the leaf gradients; that is
+intended, and ``zero_grad`` is the explicit reset. A leaf whose ``.grad`` is
+still None may take its first contribution as the ``.grad`` array itself,
+when backward owns that array outright; the sum is the same as zeros plus
+the contribution.
 
 Tensors may be handed between threads, but a single tape must only ever be
 used from one thread at a time. The active-tape stack is thread local.
@@ -106,7 +110,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is None:
-            if isinstance(data, np.ndarray) and data.dtype == np.float64:
+            if (isinstance(data, (np.ndarray, np.generic))
+                    and data.dtype == np.float64):
                 dtype = np.float64
             else:
                 dtype = np.float32
@@ -125,7 +130,8 @@ class Tensor:
         t.grad = None
         t.requires_grad = requires_grad
         t.node_id = next(_node_ids)
-        _track_buffer(t, data)
+        if tracker.enabled:
+            _track_buffer(t, data)
         return t
 
     @property
@@ -171,40 +177,36 @@ class Tensor:
                 f"requires_grad={self.requires_grad})")
 
 
-class _OpRecord:
-    __slots__ = ("inputs", "output_ids", "backward")
-
-    def __init__(self, inputs, output_ids, backward):
-        self.inputs = inputs
-        self.output_ids = output_ids
-        self.backward = backward
-
-
 class Tape:
-    """Ordered record of ops, replayed in reverse by ``backward``."""
+    """Ordered record of ops, replayed in reverse by ``backward``.
+
+    A record is the plain tuple ``(inputs, out_ids, backward)``: the op's
+    input tensors, the ``node_id`` of each output, and the function that maps
+    the outputs' gradients to one contribution per input. Recording an op is
+    one ``list.append`` of that tuple; everything else, such as which nodes
+    the tape produced, is worked out when ``backward`` runs.
+    """
 
     def __init__(self):
         self._records = []
-        self._produced = set()
 
     def __len__(self):
         return len(self._records)
 
     def __enter__(self):
-        _active_stack().append(self)
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _active_stack()
+        stack = _tls.stack
         if not stack or stack[-1] is not self:
             raise ContractError("tape exited out of order; tapes must nest")
         stack.pop()
         return False
 
     def record(self, inputs, outputs, backward):
-        ids = tuple(t.node_id for t in outputs)
-        self._records.append(_OpRecord(tuple(inputs), ids, backward))
-        self._produced.update(ids)
+        self._records.append(
+            (tuple(inputs), tuple(t.node_id for t in outputs), backward))
 
     def backward(self, loss):
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
@@ -218,37 +220,44 @@ class Tape:
         if loss.data.shape != ():
             raise ContractError(
                 f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if loss.node_id not in self._produced:
+        records = self._records
+        produced = {i for _, out_ids, _ in records for i in out_ids}
+        if loss.node_id not in produced:
             raise ContractError("loss was not produced on this tape")
 
         # node_id -> [grad array, owned flag]. Non-owned entries alias arrays
         # that other nodes may still read, so accumulation into them must be
         # out of place.
         grads = {loss.node_id: [np.ones((), dtype=loss.data.dtype), True]}
-        produced = self._produced
         counting = tracker.enabled
         counted = 0
 
-        for rec in reversed(self._records):
-            out_ids = rec.output_ids
+        for inputs, out_ids, backward in reversed(records):
+            # An op's outputs are never its inputs, so their entries can
+            # leave the table before the op's contributions go in.
             if len(out_ids) == 1:
-                entry = grads.get(out_ids[0])
+                entry = grads.pop(out_ids[0], None)
                 if entry is None:
                     continue
+                popped = (entry,)
                 gouts = (entry[0],)
             else:
-                gouts = tuple(
-                    e[0] if (e := grads.get(i)) is not None else None
-                    for i in out_ids)
+                popped = [grads.pop(i, None) for i in out_ids]
+                gouts = tuple(None if e is None else e[0] for e in popped)
                 if all(g is None for g in gouts):
                     continue
 
-            contribs = rec.backward(gouts)
-            for inp, c in zip(rec.inputs, contribs):
+            contribs = backward(gouts)
+            several = len(contribs) > 1
+            for inp, c in zip(inputs, contribs):
                 if c is None or not inp.requires_grad:
                     continue
-                shared = (c.base is not None or any(c is g for g in gouts)
-                          or sum(c is d for d in contribs) > 1)
+                # Cheapest test first; the count only matters when the op
+                # returned more than one contribution.
+                shared = (c.base is not None
+                          or (c is gouts[0] if len(gouts) == 1
+                              else any(c is g for g in gouts))
+                          or several and sum(c is d for d in contribs) > 1)
                 nid = inp.node_id
                 if nid not in produced:
                     inp._accumulate_grad(c, owned=not shared)
@@ -267,38 +276,36 @@ class Tape:
                     if counting:
                         tracker.note_alloc(fresh.nbytes)
                         counted += fresh.nbytes
-            for oid in out_ids:
-                entry = grads.pop(oid, None)
-                if counting and entry is not None and entry[1]:
-                    tracker.note_free(entry[0].nbytes, tracker.generation)
-                    counted -= entry[0].nbytes
+            if counting:
+                for entry in popped:
+                    if entry is not None and entry[1]:
+                        tracker.note_free(entry[0].nbytes, tracker.generation)
+                        counted -= entry[0].nbytes
         if counting and counted:
             # Whatever is left (unreachable contributions) is dropped here.
             tracker.note_free(counted, tracker.generation)
 
 
-_tls = threading.local()
+class _TapeStack(threading.local):
+    """Per-thread stack of active tapes, innermost last."""
+
+    def __init__(self):
+        self.stack = []
 
 
-def _active_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_tls = _TapeStack()
 
 
 def active_tape():
     """The innermost active tape, or None when not recording."""
-    stack = _active_stack()
+    stack = _tls.stack
     return stack[-1] if stack else None
 
 
 @contextmanager
 def no_tape():
     """Suspend recording for a block (used by evaluation paths)."""
-    stack = _active_stack()
-    saved, _tls.stack = stack, []
+    saved, _tls.stack = _tls.stack, []
     try:
         yield
     finally:
@@ -308,15 +315,22 @@ def no_tape():
 def taped_op(inputs, out_data, backward):
     """Wrap ``out_data`` as a tensor and record the op if a tape is active.
 
-    ``backward`` receives a tuple with the output's gradient and returns one
-    gradient contribution per input (None for inputs that need none). This is
-    the extension point every neuron/loss primitive goes through.
+    ``inputs`` is a tuple of tensors. ``backward`` receives a tuple with the
+    output's gradient and returns one gradient contribution per input (None
+    for inputs that need none). This is the extension point every
+    neuron/loss primitive goes through. Only when an input requires grad is
+    the active tape looked up; the record is one ``(inputs, out_ids,
+    backward)`` tuple.
     """
-    rg = any(t.requires_grad for t in inputs)
-    out = Tensor._make(out_data, rg)
-    tape = active_tape()
-    if rg and tape is not None:
-        tape.record(inputs, (out,), backward)
+    for t in inputs:
+        if t.requires_grad:
+            break
+    else:
+        return Tensor._make(out_data, False)
+    out = Tensor._make(out_data, True)
+    stack = _tls.stack
+    if stack:
+        stack[-1]._records.append((inputs, (out.node_id,), backward))
     return out
 
 
@@ -390,22 +404,25 @@ def linear(x, w, b):
     return taped_op((x, w, b), out, backward)
 
 
-def _broadcast_rule(a_shape, b_shape):
-    """How b broadcasts against a: 'same', 'row' (b indexes a's leading axis,
-    broadcast over the rest), or 'trailing' (b matches a's last axis)."""
+def _broadcast(op_name, a, b):
+    """(rule, b's data shaped to broadcast against a's) for an elementwise op.
+
+    The rule is 'same', 'row' (b indexes a's leading axis, broadcast over the
+    rest) or 'trailing' (b matches a's last axis).
+    """
+    a_shape, bd = a.data.shape, b.data
+    b_shape = bd.shape
     if a_shape == b_shape:
-        return "same"
-    if len(b_shape) == 1 and len(a_shape) >= 2 and b_shape[0] == a_shape[0]:
-        return "row"
-    if len(b_shape) == 1 and len(a_shape) >= 2 and b_shape[0] == a_shape[-1]:
-        return "trailing"
-    return None
-
-
-def _apply_broadcast(bd, rule, a_ndim):
-    if rule == "row":
-        return bd.reshape((bd.shape[0],) + (1,) * (a_ndim - 1))
-    return bd
+        return "same", bd
+    if len(b_shape) == 1 and len(a_shape) >= 2:
+        if b_shape[0] == a_shape[0]:
+            return "row", bd.reshape(b_shape + (1,) * (len(a_shape) - 1))
+        if b_shape[0] == a_shape[-1]:
+            return "trailing", bd
+    raise ShapeMismatchError(
+        f"{op_name}: shapes {a_shape} and {b_shape} do not match and are "
+        f"not a supported broadcast (same shape, leading axis, or trailing "
+        f"axis)")
 
 
 def _column_sum(g):
@@ -430,19 +447,8 @@ def _reduce_broadcast(g, rule):
     return _column_sum(g.reshape(-1, g.shape[-1]))
 
 
-def _elementwise_shapes(op_name, a, b):
-    rule = _broadcast_rule(a.data.shape, b.data.shape)
-    if rule is None:
-        raise ShapeMismatchError(
-            f"{op_name}: shapes {a.data.shape} and {b.data.shape} do not "
-            f"match and are not a supported broadcast (same shape, leading "
-            f"axis, or trailing axis)")
-    return rule
-
-
 def add(a, b):
-    rule = _elementwise_shapes("add", a, b)
-    bd = _apply_broadcast(b.data, rule, a.data.ndim)
+    rule, bd = _broadcast("add", a, b)
     out = a.data + bd
 
     def backward(gouts):
@@ -455,8 +461,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    rule = _elementwise_shapes("mul", a, b)
-    bd = _apply_broadcast(b.data, rule, a.data.ndim)
+    rule, bd = _broadcast("mul", a, b)
     ad = a.data
     out = ad * bd
 
@@ -473,17 +478,18 @@ def scalar_affine(a, mul_by, add_by):
     """Elementwise a * mul_by + add_by with python scalars."""
     mul_by = float(mul_by)
     add_by = float(add_by)
-    out = a.data * a.data.dtype.type(mul_by)
+    ad = a.data
+    k = ad.dtype.type(mul_by)
+    out = ad * k
     if add_by != 0.0:
-        out += a.data.dtype.type(add_by)
+        out += ad.dtype.type(add_by)
 
     def backward(gouts):
-        g = gouts[0]
         if not a.requires_grad:
             return (None,)
         if mul_by == 1.0:
-            return (g,)
-        return (g * a.data.dtype.type(mul_by),)
+            return gouts
+        return (gouts[0] * k,)
 
     return taped_op((a,), out, backward)
 

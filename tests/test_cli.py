@@ -41,6 +41,26 @@ def test_bench_tiny_grid_writes_csv_and_manifest(tmp_path):
     assert manifest["command"] == "bench"
     assert manifest["end_time"] is not None
     assert manifest["outputs"]
+    _assert_blas_fields(manifest)
+
+
+def _assert_blas_fields(manifest):
+    threads = manifest["blas_threads_effective"]
+    build = manifest["blas_build"]
+    if threads is None:
+        assert build is None
+    else:
+        assert type(threads) is int and threads >= 1
+        assert isinstance(build, str) and "OpenBLAS" in build
+
+
+def test_blas_fields_are_null_without_a_bundled_openblas(monkeypatch):
+    import glob
+
+    from psn import cli
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert cli._openblas() == (None, None)
 
 
 def test_bench_memory_writes_real_peaks_beside_tracked_bytes(tmp_path):
@@ -63,15 +83,6 @@ def test_bench_lif_only_ratios_are_unity(tmp_path):
     assert code == EXIT_OK
     rows = out.read_text().strip().split("\n")[1:]
     assert all(float(r.split(",")[5]) == 1.0 for r in rows)
-
-
-def test_bench_skip_large(tmp_path):
-    code = _run(["bench", "--kinds", "lif,psn", "--n-values", "1048576",
-                 "--t-values", "2", "--iters", "3", "--skip-large",
-                 "--out-dir", str(tmp_path)])
-    assert code == EXIT_OK
-    rows = (tmp_path / "bench.csv").read_text().strip().split("\n")[1:]
-    assert rows and all(r.endswith("skipped") for r in rows)
 
 
 def test_bench_rejects_bad_grid(tmp_path, capsys):
@@ -108,6 +119,7 @@ def test_train_writes_the_run_directory(train_run):
     assert manifest["command"] == "train"
     assert manifest["config"]["neuron"] == "psn"
     assert manifest["config"]["epochs"] == 2
+    _assert_blas_fields(manifest)
     assert 0.0 <= manifest["results"]["final_test_accuracy"] <= 1.0
     seconds = manifest["results"]["epoch_seconds"]
     assert len(seconds) == 2 and all(s > 0 for s in seconds)

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError, ShapeMismatchError
-from psn.neurons import (SurrogateConfig, heaviside_surrogate, smooth_step,
-                        surrogate_grad)
+from psn.neurons import SurrogateConfig, heaviside_surrogate, smooth_step
 from psn.tensor import Tape, Tensor, mul, sum_all, taped_op
+
+
+def _sigma(x, alpha=None):
+    """sigma(x), read off the taped backward of the firing op at threshold 0."""
+    h = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
+    cfg = None if alpha is None else SurrogateConfig(alpha=alpha)
+    with Tape() as tape:
+        tape.backward(sum_all(heaviside_surrogate(h, 0.0, cfg)))
+    return h.grad
 
 
 def test_step_values_with_threshold_one():
@@ -28,15 +36,15 @@ def test_outputs_are_binary():
 
 
 def test_sigma_peak_is_alpha_over_two():
-    assert surrogate_grad(np.array(0.0), alpha=4.0) == pytest.approx(2.0)
+    assert _sigma(0.0, alpha=4.0) == pytest.approx(2.0)
     # Default alpha is 4 as well.
-    assert surrogate_grad(np.array(0.0)) == pytest.approx(2.0)
+    assert _sigma(0.0) == pytest.approx(2.0)
 
 
 def test_sigma_is_even_and_decaying():
     x = np.array([0.5, 1.0, 4.0])
-    np.testing.assert_allclose(surrogate_grad(x), surrogate_grad(-x))
-    vals = surrogate_grad(np.array([0.0, 0.5, 1.0, 4.0]))
+    np.testing.assert_allclose(_sigma(x), _sigma(-x))
+    vals = _sigma([0.0, 0.5, 1.0, 4.0])
     assert np.all(np.diff(vals) < 0)
 
 
@@ -44,7 +52,7 @@ def test_smooth_step_is_antiderivative_of_sigma():
     xs = np.linspace(-2.0, 2.0, 41)
     eps = 1e-5
     fd = (smooth_step(xs + eps) - smooth_step(xs - eps)) / (2 * eps)
-    np.testing.assert_allclose(fd, surrogate_grad(xs), rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(fd, _sigma(xs), rtol=1e-6, atol=1e-9)
 
 
 def test_smooth_step_limits():
@@ -192,6 +200,10 @@ def test_huge_inputs_stay_finite():
 def test_zero_d_charge_backward(dtype):
     h = Tensor(dtype(0.5), requires_grad=True, dtype=dtype)
     with Tape() as tape:
-        tape.backward(sum_all(heaviside_surrogate(h, 1.0)))
+        s = heaviside_surrogate(h, 1.0)
+        tape.backward(sum_all(s))
+    assert isinstance(s.data, np.ndarray) and s.data.shape == ()
+    assert s.data.dtype == dtype and s.data == 0.0
     assert h.grad.shape == () and h.grad.dtype == dtype
-    assert h.grad == pytest.approx(surrogate_grad(-0.5), rel=1e-6)
+    # sigma(-0.5) at alpha 4: 2 / (1 + (pi/2 * 4 * 0.5)^2).
+    assert h.grad == pytest.approx(2.0 / (1.0 + np.pi ** 2), rel=1e-6)

@@ -480,6 +480,43 @@ def test_ops_outside_tape_are_pure_forward():
     assert x.grad is None
 
 
+def test_ops_whose_inputs_need_no_grad_record_nothing():
+    x = Tensor(np.ones((2, 3)))
+    w = Tensor(np.ones((3, 3)))
+    with Tape() as tape:
+        outs = [add(x, x), mul(x, x), scalar_affine(x, 2.0, 1.0),
+                matmul(x, w), sum_all(x), stack_rows(split_rows(x))]
+        assert len(tape) == 0
+        assert not any(o.requires_grad for o in outs)
+        y = add(x, Tensor(np.ones((2, 3)), requires_grad=True))
+        assert len(tape) == 1 and y.requires_grad
+
+
+def test_ops_outside_any_tape_record_nothing():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    idle = Tape()
+    with Tape() as closed:
+        pass
+    assert active_tape() is None
+    y = sum_all(stack_rows(split_rows(mul(x, scalar_affine(x, 2.0, 0.0)))))
+    assert y.requires_grad
+    assert len(idle) == 0 and len(closed) == 0
+
+
+def test_float64_scalars_infer_float64():
+    assert Tensor(np.float64(0.5)).dtype == np.float64
+    assert Tensor(np.array(0.5)).dtype == np.float64
+    assert Tensor(np.float32(0.5)).dtype == np.float32
+    # Python numbers and other dtypes take the float32 default.
+    assert Tensor(0.5).dtype == np.float32
+    assert Tensor(np.int64(3)).dtype == np.float32
+    assert Tensor(np.float64(0.5), dtype=np.float32).dtype == np.float32
+    h = Tensor(np.float64(0.1), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(scalar_affine(h, 3.0, 0.0)))
+    assert h.data == 0.1 and h.grad.dtype == np.float64
+
+
 def test_detached_shares_data_but_never_grads():
     x = Tensor(np.ones(3), requires_grad=True)
     d = x.detached()

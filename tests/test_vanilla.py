@@ -179,6 +179,24 @@ def test_detached_reset_gradient_matches_a_loop_oracle(kind, reset_mode):
     ).max() > 1e-4
 
 
+@pytest.mark.parametrize("reset_mode", ["hard", "soft"])
+@pytest.mark.parametrize("kind", ["if", "lif"])
+@pytest.mark.parametrize("T", [1, 2, 16])
+def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode):
+    # split_rows and stack_rows, then charge (IF: add; LIF: two
+    # scalar_affine and an add), fire and reset per step. The first LIF
+    # step records no scalar_affine of the zero initial potential, which
+    # needs no grad.
+    p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
+    x = Tensor(np.ones((T, 3)), requires_grad=True)
+    with Tape() as tape:
+        vanilla_sequence(x, p)
+    assert len(tape) == {"if": 3 * T + 2, "lif": 5 * T + 1}[kind]
+    with Tape() as tape:
+        vanilla_sequence(Tensor(np.ones((T, 3))), p)
+    assert len(tape) == 0
+
+
 def test_param_validation():
     with pytest.raises(ContractError):
         VanillaNeuronParams(kind="izhikevich")
