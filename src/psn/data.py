@@ -217,17 +217,22 @@ def load_idx_labels(path):
 
 
 def load_csv_labels(path):
-    """One integer label per row; fallback when labels are not IDX."""
+    """One non-negative integer label per row, UTF-8; fallback when labels
+    are not IDX."""
     labels = []
-    with open(path, newline="") as f:
-        for i, row in enumerate(csv.reader(f)):
-            if not row:
-                continue
-            try:
-                labels.append(int(row[0]))
-            except ValueError:
-                raise ParseError(
-                    f"line {i + 1}: {row[0]!r} is not an integer label") from None
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            for i, row in enumerate(csv.reader(f)):
+                if not row:
+                    continue
+                label = row[0].strip()
+                if not (label.isascii() and label.isdigit()
+                        and len(label) < 19):
+                    raise ParseError(f"line {i + 1}: {row[0]!r} is not a "
+                                     f"non-negative integer label")
+                labels.append(int(label))
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise ParseError(f"{path}: not a CSV text file: {err}") from None
     return np.asarray(labels, dtype=np.int64)
 
 

@@ -19,6 +19,7 @@ the reset equation only; the emitted spike keeps its surrogate gradient.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -72,12 +73,14 @@ def charge(x_t, v_prev, p):
 def apply_reset(h, s, p, relaxed=False):
     """Post-spike membrane update, fused into one taped op per step.
 
+    The exact hard reset is a select: any nonzero spike (NaN included)
+    yields v_reset, and a zero spike (-0.0 included) passes the charge
+    through bit for bit, inf and NaN charges too (``_select_reset``).
+
     ``relaxed`` keeps the hard reset in its algebraic form h + s*(v_r - h)
-    so a fractional spike value resets fractionally; the branchy np.where
-    would treat any nonzero s as a full reset. On binary s the two forms
-    differ only by rounding in the s=1 case, which is why the exact path
-    keeps np.where. The backward below is the derivative of the algebraic
-    form either way.
+    so a fractional spike value resets fractionally; on binary s it differs
+    from the select only by rounding in the s=1 case. The backward below is
+    the derivative of the algebraic form either way.
     """
     if p.reset_mode == "none":
         return h
@@ -90,8 +93,7 @@ def apply_reset(h, s, p, relaxed=False):
         if relaxed:
             out = hd + sd * (v_reset - hd)
         else:
-            # where() reads a float condition as != 0, NaN included.
-            out = np.where(sd, v_reset, hd)
+            out = _select_reset(hd, sd, v_reset)
 
         def backward(gouts):
             g = gouts[0]
@@ -114,6 +116,36 @@ def apply_reset(h, s, p, relaxed=False):
             return dh, ds
 
     return taped_op((h, s), out, backward)
+
+
+# The unsigned integer type of each float type's width.
+_BITS = {np.dtype(np.float16): np.dtype(np.uint16),
+         np.dtype(np.float32): np.dtype(np.uint32),
+         np.dtype(np.float64): np.dtype(np.uint64)}
+
+
+def _select_reset(hd, sd, v_reset):
+    """Bit-exact np.where(sd, v_reset, hd), without a branch per element.
+
+    On the floats' unsigned integer bits it is
+    ((bits(hd) ^ bits(v_reset)) * keep) ^ bits(v_reset) with keep = (sd == 0);
+    np.where instead branches per element, and scattered spikes make that
+    branch mispredict. The result owns its buffer, as np.where's did, so the
+    allocation tracker counts it.
+    """
+    bits = _BITS[hd.dtype]
+    out = np.empty_like(hd)
+    obits = out.view(bits)
+    keep = np.equal(sd, 0)
+    if v_reset == 0 and math.copysign(1.0, v_reset) > 0:
+        # +0.0 has no bit set, so both xors would be copies.
+        np.multiply(hd.view(bits), keep, out=obits)
+    else:
+        vbits = v_reset.view(bits)
+        np.bitwise_xor(hd.view(bits), vbits, out=obits)
+        np.multiply(obits, keep, out=obits)
+        np.bitwise_xor(obits, vbits, out=obits)
+    return out
 
 
 def vanilla_step(x_t, v_prev, p, cfg=None, relaxed=False):

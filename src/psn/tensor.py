@@ -547,10 +547,9 @@ def split_rows(a):
     dtype = a.data.dtype
 
     def backward(gouts):
-        full = np.zeros(shape, dtype=dtype)
+        full = np.empty(shape, dtype=dtype)
         for t, g in enumerate(gouts):
-            if g is not None:
-                full[t] = g
+            full[t] = 0 if g is None else g
         return (full,)
 
     rg = a.requires_grad

@@ -235,6 +235,29 @@ def test_csv_labels_reject_non_integers(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1\n-1\n", 2),                # a negative label
+    ("0\n" + "9" * 19 + "\n", 2),  # past int64
+    ("1_0\n", 1),                   # int() syntax, not a label
+])
+def test_csv_labels_reject_what_is_not_a_class_index(tmp_path, text, line):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_csv_labels(path)
+    assert f"line {line}" in str(err.value)
+
+
+@pytest.mark.parametrize("blob", [b"1\n\xe4\n",
+                                  b"1\n\"" + b"0" * (1 << 18) + b"\"\n"])
+def test_csv_labels_reject_bytes_that_are_not_csv_text(tmp_path, blob):
+    # Not UTF-8, and a field past the csv module's size limit.
+    path = tmp_path / "labels.csv"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError):
+        load_csv_labels(path)
+
+
 def test_idx_pair_csv_fallback(tmp_path):
     imgs = tmp_path / "images.idx"
     labs = tmp_path / "labels.csv"

@@ -118,6 +118,17 @@ def test_split_stack_roundtrip():
     np.testing.assert_array_equal(stack_rows(rows).data, x.data)
 
 
+def test_split_rows_backward_zeroes_rows_without_a_gradient():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with Tape() as tape:
+        rows = split_rows(x)
+        loss = add(sum_all(rows[0]), sum_all(mul(rows[2], rows[2])))
+        tape.backward(loss)
+    want = np.array([[1.0] * 4, [0.0] * 4, 2.0 * x.data[2]])
+    np.testing.assert_array_equal(x.grad, want)
+    assert not np.signbit(x.grad[1]).any()
+
+
 def test_mean_axis0_value():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     np.testing.assert_array_equal(mean_axis0(x).data, [2.0, 3.0])

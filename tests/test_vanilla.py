@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from psn.bench import bench_memory
 from psn.errors import ContractError
 from psn.neurons import (VanillaNeuronParams, apply_reset, charge,
                         heaviside_surrogate, parallel_no_reset,
@@ -130,6 +131,38 @@ def test_relaxed_hard_reset_matches_exact_on_binary_spikes():
     exact = apply_reset(h, s, p, relaxed=False).data
     relaxed = apply_reset(h, s, p, relaxed=True).data
     np.testing.assert_allclose(relaxed, exact, rtol=1e-12)
+
+
+# Every charge/spike pairing below meets every v_reset: the select must
+# equal np.where(s, v_reset, h) bit for bit, for any nonzero spike (NaN
+# included) and with -0.0 counting as no spike.
+_RESET_SPIKES = (0.0, 1.0, 0.5, 2.0, -0.0, np.nan)
+_RESET_CHARGES = (np.inf, -np.inf, np.nan, -0.0, "subnormal", 1.3, -0.7)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("v_reset", [0.0, -0.0, -0.25, 0.5])
+def test_exact_hard_reset_is_where_bit_for_bit(dtype, v_reset):
+    tiny = np.finfo(dtype).smallest_subnormal
+    charges = np.array([tiny if c == "subnormal" else c
+                        for c in _RESET_CHARGES], dtype=dtype)
+    h = np.repeat(charges, len(_RESET_SPIKES))
+    s = np.tile(np.array(_RESET_SPIKES, dtype=dtype), len(charges))
+    p = VanillaNeuronParams(kind="if", reset_mode="hard", v_reset=v_reset)
+    out = apply_reset(Tensor(h, dtype=dtype), Tensor(s, dtype=dtype), p).data
+    want = np.where(s, dtype(v_reset), h)
+    assert out.dtype == h.dtype
+    assert out.base is None
+    bits = f"u{h.itemsize}"
+    np.testing.assert_array_equal(out.view(bits), want.view(bits))
+
+
+def test_exact_hard_reset_keeps_the_tracked_bytes():
+    # The reset's output owns its buffer, as np.where's did, so the
+    # tracker counts the same bytes as before.
+    *peaks, ratio = bench_memory(16, 1024)
+    assert peaks == [17170432, 17694720, 17433664]
+    assert round(ratio, 4) == 1.9917
 
 
 def test_relaxed_hard_reset_interpolates_fractional_spikes():
