@@ -145,8 +145,14 @@ def _skipped(kind, N, T, mode):
 
 
 def _run_cell(cfg, mode, N, T):
-    """All records for one (N, T) grid cell, baseline timed exactly once."""
-    x_data = bench_input(cfg.seed, N, T)
+    """All records for one (N, T) grid cell, baseline timed exactly once.
+
+    A cell whose input cannot be allocated is skipped for every kind.
+    """
+    try:
+        x_data = bench_input(cfg.seed, N, T)
+    except MemoryError:
+        return [_skipped(kind, N, T, mode) for kind in cfg.neuron_kinds]
 
     try:
         baseline = _time_median(
@@ -175,28 +181,13 @@ def _run_cell(cfg, mode, N, T):
     return records
 
 
-def _run_grid(cfg, mode):
+def run_bench(cfg):
+    """One record per (kind, N, T), timed in ``cfg.mode``."""
     records = []
     for N in cfg.n_values:
         for T in cfg.t_values:
-            records.extend(_run_cell(cfg, mode, N, T))
+            records.extend(_run_cell(cfg, cfg.mode, N, T))
     return records
-
-
-def bench_forward(cfg):
-    """Time one untaped forward pass per (kind, N, T)."""
-    return _run_grid(cfg, "inference")
-
-
-def bench_training(cfg):
-    """Time forward plus backward of the spike-count loss per (kind, N, T)."""
-    return _run_grid(cfg, "training")
-
-
-def run_bench(cfg):
-    if cfg.mode == "inference":
-        return bench_forward(cfg)
-    return bench_training(cfg)
 
 
 def _measure_config(configuration, T, N):

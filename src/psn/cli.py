@@ -1,7 +1,8 @@
 """The ``psn`` command: bench, train, eval, and verify.
 
 Exit codes are part of the interface and stay stable: 0 success, 1 a
-verification suite failed, 2 a usage or input error, 3 training diverged.
+verification suite failed, 2 a usage or input error (a size too large to
+allocate included), 3 training diverged.
 
 Every run checks its inputs, writes a JSON manifest before the main work,
 then rewrites it on completion with the end timestamp and summary results;
@@ -515,6 +516,8 @@ def main(argv=None):
         return _usage_error(str(err))
     except OSError as err:
         return _usage_error(str(err))
+    except MemoryError as err:
+        return _usage_error(f"out of memory: {err}")
 
 
 if __name__ == "__main__":

@@ -73,10 +73,7 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
     if isinstance(threshold, Tensor):
         th = threshold
         thd = th.data
-        if thd.shape == hd.shape:
-            mode = "same"
-            thb = thd
-        elif thd.size == 1:
+        if thd.size == 1:
             mode = "scalar"
             thb = thd.reshape(())
         elif thd.ndim == 1 and hd.ndim >= 2 and thd.shape[0] == hd.shape[0]:
@@ -112,10 +109,8 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
             return (dh,) if th is None else (dh, None)
         if mode == "scalar":
             dth = np.asarray(-dh.sum(), dtype=thd.dtype).reshape(thd.shape)
-        elif mode == "row":
-            dth = -dh.reshape(dh.shape[0], -1).sum(axis=1)
         else:
-            dth = -dh
+            dth = -dh.reshape(dh.shape[0], -1).sum(axis=1)
         return dh, dth
 
     inputs = (h,) if th is None else (h, th)

@@ -20,14 +20,13 @@ the reset equation only; the emitted spike keeps its surrogate gradient.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError
 from ..tensor import Tensor, add, scalar_affine, split_rows, stack_rows, taped_op
-from .surrogate import SurrogateConfig, heaviside_surrogate
+from .surrogate import heaviside_surrogate
 from .trace import SpikeTrace
 
 
@@ -169,24 +168,6 @@ def vanilla_sequence(x, p, cfg=None, relaxed=False):
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
 
 
-_FAULT = {"bias": 0.0}
-
-
-@contextmanager
-def inject_recurrence_fault(bias=1e-3):
-    """Add ``bias`` to every step of the reset-free recurrence. Test hook only.
-
-    Exists so the verification suites can demonstrate they actually catch a
-    broken kernel rather than vacuously passing.
-    """
-    prev = _FAULT["bias"]
-    _FAULT["bias"] = bias
-    try:
-        yield
-    finally:
-        _FAULT["bias"] = prev
-
-
 def _recurrence(x, decay, scale, reverse=False):
     """h[t] = decay * h[t-1] + scale * x[t] along axis 0, from h[-1] = 0.
 
@@ -195,8 +176,6 @@ def _recurrence(x, decay, scale, reverse=False):
     One output buffer, updated in place row by row.
     """
     h = np.multiply(x, x.dtype.type(scale), order="C")
-    if _FAULT["bias"]:
-        h += _FAULT["bias"]
     rows = h.reshape(h.shape[0], -1)
     if reverse:
         rows = rows[::-1]

@@ -134,18 +134,6 @@ class Tensor:
             _track_buffer(t, data)
         return t
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0)
@@ -405,24 +393,19 @@ def linear(x, w, b):
 
 
 def _broadcast(op_name, a, b):
-    """(rule, b's data shaped to broadcast against a's) for an elementwise op.
+    """The rule an elementwise op broadcasts b against a by.
 
-    The rule is 'same', 'row' (b indexes a's leading axis, broadcast over the
-    rest) or 'trailing' (b matches a's last axis).
+    The rule is 'same' (equal shapes) or 'trailing' (b is a vector as long as
+    a's last axis, broadcast over the leading axes as numpy does).
     """
-    a_shape, bd = a.data.shape, b.data
-    b_shape = bd.shape
+    a_shape, b_shape = a.data.shape, b.data.shape
     if a_shape == b_shape:
-        return "same", bd
-    if len(b_shape) == 1 and len(a_shape) >= 2:
-        if b_shape[0] == a_shape[0]:
-            return "row", bd.reshape(b_shape + (1,) * (len(a_shape) - 1))
-        if b_shape[0] == a_shape[-1]:
-            return "trailing", bd
+        return "same"
+    if len(b_shape) == 1 and len(a_shape) >= 2 and b_shape[0] == a_shape[-1]:
+        return "trailing"
     raise ShapeMismatchError(
         f"{op_name}: shapes {a_shape} and {b_shape} do not match and are "
-        f"not a supported broadcast (same shape, leading axis, or trailing "
-        f"axis)")
+        f"not a supported broadcast (same shape or trailing axis)")
 
 
 def _column_sum(g):
@@ -441,15 +424,13 @@ def _column_sum(g):
 def _reduce_broadcast(g, rule):
     if rule == "same":
         return g
-    if rule == "row":
-        return g.reshape(g.shape[0], -1).sum(axis=1)
     # trailing: sum over every leading axis
     return _column_sum(g.reshape(-1, g.shape[-1]))
 
 
 def add(a, b):
-    rule, bd = _broadcast("add", a, b)
-    out = a.data + bd
+    rule = _broadcast("add", a, b)
+    out = a.data + b.data
 
     def backward(gouts):
         g = gouts[0]
@@ -461,8 +442,8 @@ def add(a, b):
 
 
 def mul(a, b):
-    rule, bd = _broadcast("mul", a, b)
-    ad = a.data
+    rule = _broadcast("mul", a, b)
+    ad, bd = a.data, b.data
     out = ad * bd
 
     def backward(gouts):
@@ -485,10 +466,6 @@ def scalar_affine(a, mul_by, add_by):
         out += ad.dtype.type(add_by)
 
     def backward(gouts):
-        if not a.requires_grad:
-            return (None,)
-        if mul_by == 1.0:
-            return gouts
         return (gouts[0] * k,)
 
     return taped_op((a,), out, backward)

@@ -41,12 +41,8 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer_kind: str = "adam_like"
-    momentum: float = 0.9
     loss_kind: str = "ce_mean_output"
-    label_smoothing: float = 0.0
-    lambda_schedule_enabled: bool = True
     lr_schedule: str = "cosine"
-    weight_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -112,11 +108,8 @@ def _loss_fn(cfg):
 
 def _make_optimizer(model, cfg):
     if cfg.optimizer_kind == "sgd_momentum":
-        return SGDMomentum(model.parameters(), cfg.learning_rate,
-                           momentum=cfg.momentum,
-                           weight_decay=cfg.weight_decay)
-    return AdamLike(model.parameters(), cfg.learning_rate,
-                    weight_decay=cfg.weight_decay)
+        return SGDMomentum(model.parameters(), cfg.learning_rate)
+    return AdamLike(model.parameters(), cfg.learning_rate)
 
 
 def evaluate(model, batch, batch_size=256, head=None):
@@ -167,7 +160,7 @@ def train(model_or_spec, train_batch, test_batch, cfg, history=None):
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        if has_masked and cfg.lambda_schedule_enabled:
+        if has_masked:
             lam = (lambda_schedule(epoch, cfg.epochs)
                    if cfg.epochs >= 2 else 1.0)
             model.set_masked_lambda(lam)
@@ -184,7 +177,7 @@ def train(model_or_spec, train_batch, test_batch, cfg, history=None):
             optimizer.zero_grad()
             with Tape() as tape:
                 logits = model.forward(xb)
-                loss = loss_fn(logits, yb, cfg.label_smoothing)
+                loss = loss_fn(logits, yb)
                 loss_value = float(loss.data)
                 if not np.isfinite(loss_value):
                     model.raise_divergence(loss_value)

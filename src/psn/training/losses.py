@@ -6,8 +6,7 @@ cross-entropy at every time step and averages the losses. They coincide for
 T=1 and for time-constant logits.
 
 Cross-entropy is one fused op on the tape: the forward runs a stable
-log-softmax, the backward is (softmax - target)/M, with optional label
-smoothing folded into the target distribution.
+log-softmax, the backward is (softmax - one-hot target)/M.
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ def _check_labels(labels, num_classes, batch):
     return labels.astype(np.int64)
 
 
-def cross_entropy(logits, labels, smoothing=0.0):
+def cross_entropy(logits, labels):
     """Mean cross-entropy of (M, C) logits against integer labels."""
     ld = logits.data
     if ld.ndim != 2 or ld.shape[1] < 2:
         raise ContractError(
             f"cross_entropy needs (M, C>=2) logits, got shape {ld.shape}")
-    if not 0.0 <= smoothing < 1.0:
-        raise ContractError(f"label smoothing must lie in [0, 1), got "
-                            f"{smoothing}")
     m, c = ld.shape
     labels = _check_labels(labels, c, m)
 
@@ -46,8 +42,8 @@ def cross_entropy(logits, labels, smoothing=0.0):
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
 
-    target = np.full((m, c), smoothing / c, dtype=ld.dtype)
-    target[np.arange(m), labels] += ld.dtype.type(1.0 - smoothing)
+    target = np.zeros((m, c), dtype=ld.dtype)
+    target[np.arange(m), labels] = 1.0
 
     loss = -(target * logp).sum() / m
 
@@ -59,15 +55,15 @@ def cross_entropy(logits, labels, smoothing=0.0):
     return taped_op((logits,), np.asarray(loss), backward)
 
 
-def loss_ce_mean(outputs, labels, smoothing=0.0):
+def loss_ce_mean(outputs, labels):
     """Cross-entropy of time-averaged logits."""
     if outputs.data.ndim != 3:
         raise ContractError(
             f"expected (T, N, C) outputs, got shape {outputs.data.shape}")
-    return cross_entropy(mean_axis0(outputs), labels, smoothing)
+    return cross_entropy(mean_axis0(outputs), labels)
 
 
-def loss_tet(outputs, labels, smoothing=0.0):
+def loss_tet(outputs, labels):
     """Mean over time of per-step cross-entropy."""
     if outputs.data.ndim != 3:
         raise ContractError(
@@ -75,4 +71,4 @@ def loss_tet(outputs, labels, smoothing=0.0):
     t, n, c = outputs.data.shape
     flat = reshape(outputs, (t * n, c))
     tiled = np.tile(np.asarray(labels), t)
-    return cross_entropy(flat, tiled, smoothing)
+    return cross_entropy(flat, tiled)

@@ -1,11 +1,11 @@
 """Parameter updates and learning-rate schedules.
 
 Two optimizers: classic SGD with momentum, and an Adam-style update with
-bias correction and decoupled weight decay. Both keep their state in flat
-buffers over all parameters, which must share one dtype, and mutate
-parameter data in place, outside any tape. A parameter without a gradient
-is skipped: its state and data stay as they are. ``lr`` is a plain
-attribute so the training loop can drive it from a schedule each epoch.
+bias correction. Both keep their state in flat buffers over all
+parameters, which must share one dtype, and mutate parameter data in
+place, outside any tape. A parameter without a gradient is skipped: its
+state and data stay as they are. ``lr`` is a plain attribute so the
+training loop can drive it from a schedule each epoch.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class _FlatParams:
 
 
 class SGDMomentum:
-    def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
+    def __init__(self, params, lr, momentum=0.9):
         if lr < 0:
             raise ContractError(f"learning rate must be >= 0, got {lr}")
         if not 0.0 <= momentum < 1.0:
@@ -73,7 +73,6 @@ class SGDMomentum:
         self.params = self._flat.params
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         self._velocity = self._flat.zeros()
 
     def zero_grad(self):
@@ -84,9 +83,6 @@ class SGDMomentum:
         live, where, g = self._flat.gather()
         if not live:
             return
-        if self.weight_decay:
-            g = g + self.weight_decay * np.concatenate(
-                [p.data.ravel() for p in live])
         v = self._velocity[where]
         v *= self.momentum
         v += g
@@ -96,8 +92,7 @@ class SGDMomentum:
 
 
 class AdamLike:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         if lr < 0:
             raise ContractError(f"learning rate must be >= 0, got {lr}")
         b1, b2 = betas
@@ -108,7 +103,6 @@ class AdamLike:
         self.lr = float(lr)
         self.betas = (float(b1), float(b2))
         self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self._m = self._flat.zeros()
         self._v = self._flat.zeros()
         self._t = 0
@@ -135,15 +129,15 @@ class AdamLike:
             self._m[where] = m
             self._v[where] = v
         update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-        if self.weight_decay:
-            # Decoupled: decay acts on the weights, not the gradient.
-            update = update + self.weight_decay * np.concatenate(
-                [p.data.ravel() for p in live])
         self._flat.subtract(live, self.lr * update)
 
 
 def cosine_lr(base_lr, epoch, epochs):
-    """Cosine annealing from base_lr to 0 across the run."""
+    """Cosine annealing from base_lr to 0 across the run.
+
+    The rate is a numpy float64, so an optimizer step is float64 until
+    ``_FlatParams.subtract`` rounds it; kept so old manifests replay exactly.
+    """
     if epochs <= 1:
         return base_lr
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / (epochs - 1)))

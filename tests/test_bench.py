@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from psn.bench import (BenchConfig, CSV_COLUMNS, bench_forward, bench_input,
-                       bench_memory, bench_training, grid_table,
-                       measure_memory, run_bench, to_csv)
+from psn.bench import (BenchConfig, CSV_COLUMNS, bench_input, bench_memory,
+                       grid_table, measure_memory, run_bench, to_csv)
 from psn.errors import ContractError
 
 TINY = dict(n_values=(32,), t_values=(2, 4), warmup_iters=0,
@@ -58,9 +57,9 @@ def test_serial_lif_is_its_own_baseline():
 
 def test_training_mode_records_are_marked():
     cfg = BenchConfig(neuron_kinds=("lif", "psn"), mode="training", **TINY)
-    records = bench_training(cfg)
+    records = run_bench(cfg)
     assert all(r.mode == "training" for r in records)
-    fw = bench_forward(BenchConfig(neuron_kinds=("lif", "psn"), **TINY))
+    fw = run_bench(BenchConfig(neuron_kinds=("lif", "psn"), **TINY))
     assert all(r.mode == "inference" for r in fw)
 
 
@@ -87,12 +86,16 @@ def test_grid_table_mentions_kinds_and_cells(monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
 
-    # A cell whose steps run out of memory is marked, not fatal.
-    monkeypatch.setattr(bench, "_time_median", out_of_memory)
-    records = run_bench(cfg)
-    assert records and all(r.status == "skipped" for r in records)
-    assert all(np.isnan(r.wall_time_seconds) for r in records)
-    assert "skipped" in grid_table(records)
+    # A cell whose steps, or whose input, run out of memory is marked, not
+    # fatal.
+    for name in ("_time_median", "bench_input"):
+        with monkeypatch.context() as m:
+            m.setattr(bench, name, out_of_memory)
+            records = run_bench(cfg)
+        assert len(records) == 4
+        assert all(r.status == "skipped" for r in records)
+        assert all(np.isnan(r.wall_time_seconds) for r in records)
+        assert "skipped" in grid_table(records)
 
 
 def test_memory_probe_orders_configurations():

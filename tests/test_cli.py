@@ -269,6 +269,16 @@ def test_train_rejects_bad_config_before_writing_a_manifest(
         assert not (out_dir / "manifest.json").exists(), argv
 
 
+def test_train_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 16 x 1e14 float64 weights: numpy refuses the 11 PiB at once.
+    out_dir = tmp_path / "huge"
+    code = _run(["train", "--hidden", "100000000000000", "--epochs", "1",
+                 "--out-dir", str(out_dir)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_eval_rejects_a_faulty_manifest(train_run, tmp_path, capsys):
     for label, run in _faulty_runs(train_run, tmp_path).items():
         assert _run(["eval", str(run)]) == EXIT_USAGE, label

@@ -13,6 +13,7 @@ from psn.tensor import (_CHUNK, Tape, Tensor, _chunked_dot, _column_sum,
                         active_tape, add, linear, matmul, mean_axis0, mul,
                         no_tape, reshape, scalar_affine, split_rows,
                         stack_rows, sum_all, taped_op, tracker)
+from psn.training import loss_ce_mean, loss_tet
 
 
 def _fd_grad(f, x0, eps=1e-3):
@@ -75,25 +76,6 @@ def test_mul_by_zero_annihilates_value_and_gradient():
         tape.backward(loss)
     np.testing.assert_array_equal(loss.data, 0.0)
     np.testing.assert_array_equal(x.grad, np.zeros(2))
-
-
-def test_add_row_broadcast_is_per_row():
-    h = np.arange(12.0).reshape(3, 4)
-    b = np.array([10.0, 20.0, 30.0])
-    out = add(Tensor(h), Tensor(b))
-    np.testing.assert_array_equal(out.data, h + b[:, None])
-
-
-def test_add_broadcast_perturbation_stays_in_its_row():
-    # Changing threshold entry t may only move row t of the output.
-    h = Tensor(np.ones((4, 5)))
-    b0 = np.zeros(4)
-    b1 = b0.copy()
-    b1[2] = 0.25
-    base = add(h, Tensor(b0)).data
-    bumped = add(h, Tensor(b1)).data
-    diff_rows = np.nonzero(np.any(base != bumped, axis=1))[0]
-    np.testing.assert_array_equal(diff_rows, [2])
 
 
 def test_scalar_affine_values():
@@ -431,15 +413,53 @@ def test_elementwise_grads_match_fd(op, f):
 
 
 def test_row_broadcast_grad_reduces_to_vector():
+    # A vector as long as the last axis is added to, or multiplies, every
+    # row; its gradient sums over the rows.
     rng = np.random.default_rng(3)
     h0 = rng.standard_normal((3, 5))
-    b0 = rng.standard_normal(3)
-    b = Tensor(b0.copy(), requires_grad=True)
+    b0 = rng.standard_normal(5)
+    proj = rng.standard_normal((3, 5))
+    for op, f in ((add, np.add), (mul, np.multiply)):
+        b = Tensor(b0.copy(), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(mul(op(Tensor(h0), b), Tensor(proj))))
+        fd = _fd_grad(lambda v: (f(h0, v) * proj).sum(), b0)
+        np.testing.assert_allclose(b.grad, fd, rtol=1e-6)
+
+
+def test_leading_axis_vector_is_not_broadcast():
+    h = Tensor(np.zeros((3, 4)))
+    for op in (add, mul):
+        with pytest.raises(ShapeMismatchError, match="trailing axis"):
+            op(h, Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("op,f", [
+    (mean_axis0, lambda v: v.mean(axis=0)),
+    (lambda t: reshape(t, (6, 2)), lambda v: v.reshape(6, 2)),
+    (lambda t: stack_rows(split_rows(t)[::-1]), lambda v: v[::-1]),
+], ids=["mean_axis0", "reshape", "stack_rows"])
+def test_shape_op_grads_match_fd(op, f):
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal((3, 4))
+    proj = rng.standard_normal(f(x0).shape)
+    x = Tensor(x0.copy(), requires_grad=True)
     with Tape() as tape:
-        tape.backward(sum_all(add(Tensor(h0), b)))
-    np.testing.assert_allclose(b.grad, np.full(3, 5.0), rtol=1e-12)
-    fd = _fd_grad(lambda v: (h0 + v[:, None]).sum(), b0)
-    np.testing.assert_allclose(b.grad, fd, rtol=1e-6)
+        tape.backward(sum_all(mul(op(x), Tensor(proj))))
+    fd = _fd_grad(lambda v: (f(v) * proj).sum(), x0)
+    np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("loss", [loss_ce_mean, loss_tet])
+def test_loss_grads_match_fd(loss):
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal((3, 4, 5))
+    labels = np.array([4, 0, 2, 2])
+    x = Tensor(x0.copy(), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(loss(x, labels))
+    fd = _fd_grad(lambda v: float(loss(Tensor(v), labels).data), x0)
+    np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_mul_grad_routes_opposite_operand():
@@ -515,13 +535,13 @@ def test_ops_outside_any_tape_record_nothing():
 
 
 def test_float64_scalars_infer_float64():
-    assert Tensor(np.float64(0.5)).dtype == np.float64
-    assert Tensor(np.array(0.5)).dtype == np.float64
-    assert Tensor(np.float32(0.5)).dtype == np.float32
+    assert Tensor(np.float64(0.5)).data.dtype == np.float64
+    assert Tensor(np.array(0.5)).data.dtype == np.float64
+    assert Tensor(np.float32(0.5)).data.dtype == np.float32
     # Python numbers and other dtypes take the float32 default.
-    assert Tensor(0.5).dtype == np.float32
-    assert Tensor(np.int64(3)).dtype == np.float32
-    assert Tensor(np.float64(0.5), dtype=np.float32).dtype == np.float32
+    assert Tensor(0.5).data.dtype == np.float32
+    assert Tensor(np.int64(3)).data.dtype == np.float32
+    assert Tensor(np.float64(0.5), dtype=np.float32).data.dtype == np.float32
     h = Tensor(np.float64(0.1), requires_grad=True)
     with Tape() as tape:
         tape.backward(sum_all(scalar_affine(h, 3.0, 0.0)))

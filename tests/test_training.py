@@ -39,28 +39,12 @@ def test_confident_correct_logits_cost_nothing():
     assert float(loss.data) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_label_smoothing_sets_a_floor():
-    logits = _logits([[60.0, 0.0]])
-    hard = cross_entropy(logits, np.array([0]))
-    smooth = cross_entropy(logits, np.array([0]), smoothing=0.1)
-    assert float(hard.data) == pytest.approx(0.0, abs=1e-12)
-    # With smoothing 0.1 over C=2, 0.05 of the mass sits on the wrong
-    # class, which costs 0.05 * 60 here.
-    assert float(smooth.data) == pytest.approx(3.0, rel=1e-6)
-
-
 def test_label_out_of_range_rejected():
     logits = _logits(np.zeros((2, 3)))
     with pytest.raises(ContractError):
         cross_entropy(logits, np.array([0, 3]))
     with pytest.raises(ContractError):
         cross_entropy(logits, np.array([-1, 0]))
-
-
-def test_smoothing_range_checked():
-    logits = _logits(np.zeros((1, 2)))
-    with pytest.raises(ContractError):
-        cross_entropy(logits, np.zeros(1, dtype=int), smoothing=1.0)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_target():
@@ -178,29 +162,18 @@ def test_optimizer_validation():
         AdamLike([p], lr=0.1, betas=(0.9, 1.0))
 
 
-def test_decoupled_weight_decay_shrinks_without_gradient_coupling():
-    p = Tensor(np.array([10.0]), requires_grad=True)
-    opt = AdamLike([p], lr=0.1, weight_decay=0.1)
-    p.grad = np.array([0.0])
-    opt.step()
-    # Pure decay: 10 - 0.1 * (0 + 0.1 * 10)
-    np.testing.assert_allclose(p.data, [10.0 - 0.1], rtol=1e-6)
-
-
-def _sgd_reference(params, grads, velocity, lr, momentum, weight_decay):
+def _sgd_reference(params, grads, velocity, lr, momentum):
     """One SGD-with-momentum step, parameter by parameter."""
     for p, g, v in zip(params, grads, velocity):
         if g is None:
             continue
-        if weight_decay:
-            g = g + weight_decay * p
         v *= momentum
         v += g
         p -= np.asarray(lr * v, dtype=p.dtype)
 
 
-def _adam_reference(params, grads, m_state, v_state, t, lr, weight_decay,
-                    b1=0.9, b2=0.999, eps=1e-8):
+def _adam_reference(params, grads, m_state, v_state, t, lr, b1=0.9,
+                    b2=0.999, eps=1e-8):
     """One AdamLike step, parameter by parameter."""
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
@@ -212,27 +185,22 @@ def _adam_reference(params, grads, m_state, v_state, t, lr, weight_decay,
         v *= b2
         v += (1.0 - b2) * np.square(g)
         update = (m / c1) / (np.sqrt(v / c2) + eps)
-        if weight_decay:
-            update = update + weight_decay * p
         p -= np.asarray(lr * update, dtype=p.dtype)
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
-def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype,
-                                                    weight_decay):
-    rng = np.random.default_rng([31, int(weight_decay > 0)])
+def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype):
+    rng = np.random.default_rng([31, 0])
     shapes = [(5, 3), (), (7,), (2, 2, 3), (4,)]
     gradless = 3  # never gets a gradient; the 0-d one skips step 2 only
     init = [rng.standard_normal(s).astype(dtype) for s in shapes]
     params = [Tensor(a.copy(), requires_grad=True) for a in init]
     if kind == "sgd":
-        opt = SGDMomentum(params, lr=0.1, momentum=0.8,
-                          weight_decay=weight_decay)
+        opt = SGDMomentum(params, lr=0.1, momentum=0.8)
         state = [[np.zeros_like(a) for a in init]]
     else:
-        opt = AdamLike(params, lr=0.01, weight_decay=weight_decay)
+        opt = AdamLike(params, lr=0.01)
         state = [[np.zeros_like(a) for a in init] for _ in range(2)]
     ref = [a.copy() for a in init]
     for t in range(1, 5):
@@ -245,10 +213,9 @@ def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype,
             p.grad = None if g is None else g.copy()
         opt.step()
         if kind == "sgd":
-            _sgd_reference(ref, grads, state[0], lr, 0.8, weight_decay)
+            _sgd_reference(ref, grads, state[0], lr, 0.8)
         else:
-            _adam_reference(ref, grads, state[0], state[1], t, lr,
-                            weight_decay)
+            _adam_reference(ref, grads, state[0], state[1], t, lr)
         for p, r in zip(params, ref):
             assert p.data.dtype == dtype and p.data.shape == r.shape
             assert p.data.tobytes() == r.tobytes()
@@ -444,16 +411,6 @@ def test_lambda_rides_the_schedule_in_training():
     assert all(b >= a for a, b in zip(lam, lam[1:]))
     sat = int(np.ceil((10 - 1) / 8))
     assert lam[sat] == 1.0 and lam[-1] == 1.0
-
-
-def test_lambda_schedule_can_be_disabled():
-    train_b, test_b = _tiny_split()
-    cfg = TrainConfig(epochs=2, batch_size=24,
-                      lambda_schedule_enabled=False)
-    spec = _tiny_spec("masked-psn", {"order": 2})
-    hist = train(spec, train_b, test_b, cfg)
-    lam = [v for _, v in hist.series("train", "lambda")]
-    assert lam == [1.0, 1.0]  # stays at the params' initial value
 
 
 def test_divergence_names_the_first_bad_tensor():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError
-from psn.neurons.vanilla import inject_recurrence_fault
+from psn.neurons import vanilla
 from psn.verify import (SUITES, SuiteResult, run_suites, suite_conv_vs_matmul,
                        suite_grad, suite_mask_causality,
                        suite_psn_subsumption, suite_serial_parallel)
@@ -20,10 +20,16 @@ def test_serial_parallel_small_grid_passes():
     assert result.failures == []
 
 
-def test_serial_parallel_catches_combine_fault():
-    with inject_recurrence_fault(bias=1e-3):
-        result = suite_serial_parallel(t_values=(16,), n_values=(8,),
-                                       num_seeds=2)
+def test_serial_parallel_catches_combine_fault(monkeypatch):
+    recurrence = vanilla._recurrence
+
+    def biased(x, decay, scale, reverse=False):
+        # Every step of the reset-free charge off by 1e-3.
+        return recurrence(x, decay, scale, reverse) + 1e-3
+
+    monkeypatch.setattr(vanilla, "_recurrence", biased)
+    result = suite_serial_parallel(t_values=(16,), n_values=(8,),
+                                   num_seeds=2)
     assert not result.passed
     # Witnesses carry enough to reproduce the cell.
     assert any("T=16" in w and "seed=" in w for w in result.failures)
