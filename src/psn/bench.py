@@ -15,6 +15,7 @@ matmul. That asymmetry is the point being measured, not an unfairness.
 
 from __future__ import annotations
 
+import resource
 import statistics
 import time
 import tracemalloc
@@ -86,6 +87,9 @@ class BenchRecord:
     wall_time_seconds: float
     ratio_vs_baseline: float
     status: str = "ok"  # "ok" | "skipped"
+    # Minor page faults this process took over the measured calls (0 when
+    # skipped). The manifest carries it; the CSV does not.
+    minor_faults: int = 0
 
     def csv_row(self):
         return (f"{self.neuron_kind},{self.N},{self.T},{self.mode},"
@@ -129,14 +133,17 @@ def _make_step(mode, x_data, params):
 
 
 def _time_median(step, warmup_iters, measured_iters):
+    """(median seconds, minor page faults) over the measured calls."""
     for _ in range(warmup_iters):
         step()
     samples = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(measured_iters):
         t0 = time.perf_counter()
         step()
         samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return statistics.median(samples), faults
 
 
 def _skipped(kind, N, T, mode):
@@ -155,7 +162,7 @@ def _run_cell(cfg, mode, N, T):
         return [_skipped(kind, N, T, mode) for kind in cfg.neuron_kinds]
 
     try:
-        baseline = _time_median(
+        baseline, baseline_faults = _time_median(
             _make_step(mode, x_data, _make_params("lif", T, cfg.seed)),
             cfg.warmup_iters, cfg.measured_iters)
     except MemoryError:
@@ -167,17 +174,19 @@ def _run_cell(cfg, mode, N, T):
             if baseline is None:
                 records.append(_skipped(kind, N, T, mode))
             else:
-                records.append(BenchRecord(kind, N, T, mode, baseline, 1.0))
+                records.append(BenchRecord(kind, N, T, mode, baseline, 1.0,
+                                           minor_faults=baseline_faults))
             continue
         try:
-            wall = _time_median(
+            wall, faults = _time_median(
                 _make_step(mode, x_data, _make_params(kind, T, cfg.seed)),
                 cfg.warmup_iters, cfg.measured_iters)
         except MemoryError:
             records.append(_skipped(kind, N, T, mode))
             continue
         ratio = baseline / wall if baseline is not None else float("nan")
-        records.append(BenchRecord(kind, N, T, mode, wall, ratio))
+        records.append(BenchRecord(kind, N, T, mode, wall, ratio,
+                                   minor_faults=faults))
     return records
 
 

@@ -237,7 +237,10 @@ def cmd_bench(args):
     print(f"wrote {len(records)} records to {csv_path}")
 
     results = {"records": len(records),
-               "skipped": sum(r.status == "skipped" for r in records)}
+               "skipped": sum(r.status == "skipped" for r in records),
+               "minor_faults": [
+                   {"neuron_kind": r.neuron_kind, "N": r.N, "T": r.T,
+                    "minor_faults": r.minor_faults} for r in records]}
     if args.memory:
         probes = measure_memory()
         m_no, m_if, m_psn, ratio = memory_summary(probes)

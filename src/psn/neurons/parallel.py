@@ -8,7 +8,10 @@ sequence. The masked PSN multiplies W elementwise with a banded causal mask
 up). The sliding PSN shares k weights across time, which makes it
 sequence-length-agnostic; its charge can be computed either by building the
 banded Toeplitz matrix and multiplying, or by sliding the kernel directly
-(conv path, forward only).
+(conv path, forward only). The fully masked (lambda 1) and the sliding
+charge matrices are zero outside their k lower diagonals, so both hand
+``matmul`` their band: from T=32 on, the forward and the input gradient run
+as a block-banded product that multiplies only that band.
 
 Initialization follows the reference recipe: dense weights from
 U(-sqrt(5), sqrt(5)), sliding weights 2^(i-k+1) (newest weight 1, halving
@@ -174,10 +177,9 @@ def masked_psn_forward(x, p, cfg=None, relaxed=False):
     """PSN charge under the blended mask; gradient reaches W, never the mask."""
     _check_charge_input(x, p.num_steps)
     if p.lam == 1.0:
-        effective = mul(p.weight, p.mask)
+        h = matmul(mul(p.weight, p.mask), x, band=p.order_k)
     else:
-        effective = mul(p.weight, blend_mask(p.mask, p.lam))
-    h = matmul(effective, x)
+        h = matmul(mul(p.weight, blend_mask(p.mask, p.lam)), x)
     s = heaviside_surrogate(h, p.threshold, cfg, relaxed=relaxed)
     return SpikeTrace(s, h=h)
 
@@ -226,7 +228,7 @@ def spsn_forward(x, p, cfg=None, path="matmul", relaxed=False):
     _check_charge_input(x, None)
     if path == "matmul":
         a = spsn_build_A(p, x.data.shape[0])
-        h = matmul(a, x)
+        h = matmul(a, x, band=p.order_k)
         s = heaviside_surrogate(h, p.threshold, cfg, relaxed=relaxed)
         return SpikeTrace(s, h=h)
     if path == "conv":

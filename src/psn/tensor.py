@@ -346,18 +346,57 @@ def _chunked_dot(a, b):
     return out
 
 
-def matmul(a, b):
-    """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N)."""
+# Output rows per GEMM of a banded matmul; the last GEMM takes the remainder
+# too, as a GEMM of a few rows runs other BLAS kernels than the dense call.
+# At T=16 one dense call was measured faster, so blocking starts at T=32.
+_BAND_ROWS = 16
+
+
+def _band_product(a, b, k, transpose):
+    """a @ b, or a.T @ b, for a square ``a`` that is zero outside its k lower
+    diagonals: one GEMM per _BAND_ROWS output rows, over only the rows of
+    ``b`` that meet the band there. Only exact zero products are skipped;
+    the bits match the dense product where BLAS sums both in one order,
+    which the tests pin at N=4096 (small N may differ in the last place).
+    """
+    T = a.shape[0]
+    out = np.empty((T, b.shape[1]), dtype=np.result_type(a, b))
+    edges = [*range(0, T - _BAND_ROWS + 1, _BAND_ROWS), T]
+    for r0, r1 in zip(edges, edges[1:]):
+        if transpose:
+            c1 = min(T, r1 + k - 1)
+            np.matmul(a[r0:c1, r0:r1].T, b[r0:c1], out=out[r0:r1])
+        else:
+            c0 = max(0, r0 - k + 1)
+            np.matmul(a[r0:r1, c0:r1], b[c0:r1], out=out[r0:r1])
+    return out
+
+
+def matmul(a, b, band=None):
+    """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N).
+
+    ``band=k`` promises that ``a`` is square and zero outside its k lower
+    diagonals (columns i-k+1..i of row i). For k < T and T >= 32 the forward
+    and the gradient of ``b`` then multiply only that band; the gradient of
+    ``a`` stays dense, as callers read only its band.
+    """
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeMismatchError(
             f"matmul needs (M,K) @ (K,N), got {ad.shape} @ {bd.shape}")
-    out = ad @ bd
+    T = ad.shape[0]
+    banded = band is not None and band < T and T >= 2 * _BAND_ROWS
+    out = _band_product(ad, bd, band, False) if banded else ad @ bd
 
     def backward(gouts):
         g = gouts[0]
         ga = _chunked_dot(g, bd.T) if a.requires_grad else None
-        gb = _chunked_dot(ad.T, g) if b.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif banded:
+            gb = _band_product(ad, g, band, True)
+        else:
+            gb = _chunked_dot(ad.T, g)
         return ga, gb
 
     return taped_op((a, b), out, backward)

@@ -141,14 +141,19 @@ def suite_psn_subsumption(t_values=range(1, 65), num_seeds=5, N=32):
     return _timed("psn-subsumption", body)
 
 
+# T=40 runs as matmul's block-banded product (two row blocks and a
+# remainder), which the small grid never reaches; it is checked at 3 orders.
+_BANDED_T, _BANDED_ORDERS = 40, (1, 4, 39)
+
+
 def suite_mask_causality(max_T=8, num_seeds=3, N=4, delta=0.75):
     """The band predicate, and zero leakage outside it at full masking."""
 
     def body():
         cases = 0
         failures = []
-        for T in range(1, max_T + 1):
-            for k in range(1, T + 1):
+        for T in (*range(1, max_T + 1), _BANDED_T):
+            for k in (range(1, T + 1) if T <= max_T else _BANDED_ORDERS):
                 mask = build_mask(T, k).data
                 t = np.arange(T)[:, None]
                 i = np.arange(T)[None, :]
@@ -259,21 +264,21 @@ def _grad_case_builders():
         return tensors, lambda: sum_all(mul(
             psn_forward(x, p, cfg, relaxed=True).s, proj))
 
-    def masked_case(rng):
-        T, N = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    def masked_case(rng, t_range=(2, 7), lam=0.6):
+        T, N = int(rng.integers(*t_range)), int(rng.integers(1, 4))
         k = int(rng.integers(1, T + 1))
         p = MaskedPSNParams(
             Tensor(rng.standard_normal((T, T)), requires_grad=True),
             Tensor(rng.standard_normal(T) * 0.3, requires_grad=True),
-            k, lam=0.6)
+            k, lam=lam)
         x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
         proj = proj_for((T, N), rng)
         tensors = {"x": x, "weight": p.weight, "threshold": p.threshold}
         return tensors, lambda: sum_all(mul(
             masked_psn_forward(x, p, cfg, relaxed=True).s, proj))
 
-    def spsn_case(rng):
-        T, N = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    def spsn_case(rng, t_range=(2, 7)):
+        T, N = int(rng.integers(*t_range)), int(rng.integers(1, 4))
         k = int(rng.integers(1, T + 1))
         p = SlidingPSNParams(
             Tensor(rng.standard_normal(k), requires_grad=True),
@@ -306,6 +311,10 @@ def _grad_case_builders():
         "lif-soft": vanilla_case("lif", "soft"),
         "if-no-reset": vanilla_case("if", "none"),
         "lif-no-reset": vanilla_case("lif", "none"),
+        # From T=32 on, the fully masked and the sliding charge run as
+        # matmul's block-banded product.
+        "masked-psn-banded": lambda rng: masked_case(rng, (32, 37), 1.0),
+        "spsn-banded": lambda rng: spsn_case(rng, (32, 37)),
     }
 
 

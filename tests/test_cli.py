@@ -42,6 +42,13 @@ def test_bench_tiny_grid_writes_csv_and_manifest(tmp_path):
     assert manifest["end_time"] is not None
     assert manifest["outputs"]
     _assert_blas_fields(manifest)
+    # Every cell carries the page faults its measured steps took.
+    faults = manifest["results"]["minor_faults"]
+    assert sorted((c["neuron_kind"], c["T"]) for c in faults) == [
+        ("lif", 2), ("lif", 4), ("psn", 2), ("psn", 4)]
+    for cell in faults:
+        assert cell["N"] == 32
+        assert type(cell["minor_faults"]) is int and cell["minor_faults"] >= 0
 
 
 def _assert_blas_fields(manifest):

@@ -16,8 +16,9 @@ import struct
 import numpy as np
 import pytest
 
-from psn import cli
+from psn import checkpoint, cli
 from psn.cli import EXIT_OK, EXIT_USAGE, main
+from psn.training import loop
 
 
 def _mutate(blob, rng):
@@ -112,5 +113,31 @@ def test_mutated_inputs_exit_0_or_2(runs, target, run, count, seed, capsys,
         codes.append(main(["eval", "."]))
     capsys.readouterr()
     assert codes[0] == EXIT_OK, "the unmutated run must evaluate"
+    assert set(codes) <= {EXIT_OK, EXIT_USAGE}, codes
+    assert EXIT_USAGE in codes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mutated_manifests_replay_with_exit_0_or_2(runs, capsys,
+                                                   monkeypatch):
+    """The manifest mutations of the eval fuzz, through ``psn train
+    --from-manifest``: one epoch of the tiny run, or a clean exit 2."""
+    source = runs / "idx"
+    original = (source / "manifest.json").read_bytes()
+    # Manifests, history and checkpoint all stay in memory.
+    for module in (cli, loop, checkpoint):
+        monkeypatch.setattr(module, "write_atomic", {}.__setitem__)
+    monkeypatch.chdir(source)
+    work = runs / "replay"
+    work.mkdir()
+    rng = np.random.default_rng(12)
+    codes = []
+    for i in range(200 + 1):
+        path = work / f"manifest-{i}.json"
+        path.write_bytes(_mutate(original, rng) if i else original)
+        codes.append(main(["train", "--from-manifest", str(path),
+                           "--out-dir", str(work / "out")]))
+    capsys.readouterr()
+    assert codes[0] == EXIT_OK, "the unmutated manifest must replay"
     assert set(codes) <= {EXIT_OK, EXIT_USAGE}, codes
     assert EXIT_USAGE in codes

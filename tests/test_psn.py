@@ -8,6 +8,8 @@ from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                         VanillaNeuronParams, blend_mask, build_mask,
                         lambda_schedule, masked_psn_forward, psn_forward,
                         spsn_build_A, spsn_forward, vanilla_sequence)
+from psn import tensor
+from psn.neurons import parallel
 from psn.tensor import Tape, Tensor, mul, sum_all
 
 
@@ -319,6 +321,44 @@ def test_sliding_param_validation():
         SlidingPSNParams(Tensor(np.ones(2)), Tensor(np.ones(1)))
     with pytest.raises(ContractError):
         SlidingPSNParams.create(0)
+
+
+def _banded_step(make_params, x0, r0):
+    """(h, s, x.grad, *parameter grads) of one surrogate training step."""
+    p = make_params()
+    x = Tensor(x0, requires_grad=True)
+    with Tape() as tape:
+        trace = p.forward(x)
+        tape.backward(sum_all(mul(trace.s, Tensor(r0))))
+    return [trace.h.data, trace.s.data, x.grad,
+            *(t.grad for t in p.parameters())]
+
+
+@pytest.mark.parametrize("kind", ["masked-psn", "spsn"])
+def test_banded_charge_is_the_dense_charge_bit_for_bit(kind, monkeypatch):
+    T, N, k = 64, 4096, 4
+    rng = np.random.default_rng(52)
+    x0 = rng.standard_normal((T, N), dtype=np.float32)
+    r0 = rng.standard_normal((T, N), dtype=np.float32)
+    if kind == "spsn":
+        def make_params():
+            return SlidingPSNParams.create(k)
+    else:
+        def make_params():
+            return MaskedPSNParams.create(T, k, np.random.default_rng(53))
+
+    calls = []
+    band_product = tensor._band_product
+    monkeypatch.setattr(tensor, "_band_product",
+                        lambda *args: calls.append(1) or band_product(*args))
+    banded = _banded_step(make_params, x0, r0)
+    assert len(calls) == 2  # the forward and the gradient of x
+    monkeypatch.setattr(parallel, "matmul",
+                        lambda a, b, band=None: tensor.matmul(a, b))
+    dense = _banded_step(make_params, x0, r0)
+    assert len(calls) == 2
+    for got, want in zip(banded, dense, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_all_family_spikes_are_binary():

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError, ShapeMismatchError
-from psn.tensor import (_CHUNK, Tape, Tensor, _chunked_dot, _column_sum,
-                        active_tape, add, linear, matmul, mean_axis0, mul,
-                        no_tape, reshape, scalar_affine, split_rows,
-                        stack_rows, sum_all, taped_op, tracker)
+from psn import tensor
+from psn.tensor import (_BAND_ROWS, _CHUNK, Tape, Tensor, _chunked_dot,
+                        _column_sum, active_tape, add, linear, matmul,
+                        mean_axis0, mul, no_tape, reshape, scalar_affine,
+                        split_rows, stack_rows, sum_all, taped_op, tracker)
 from psn.training import loss_ce_mean, loss_tet
 
 
@@ -206,6 +207,80 @@ def test_short_contraction_is_the_plain_product_bit_for_bit(k):
         tape.backward(sum_all(mul(matmul(w, x), Tensor(r))))
     assert np.array_equal(w.grad, r @ a.T)
     assert np.array_equal(x.grad, w.data.T @ r)
+
+
+def _banded_run(a0, b0, r0, band, a_grad, b_grad):
+    """Output and (ga, gb) of sum(matmul(a, b, band) * r) on one tape."""
+    a = Tensor(a0, requires_grad=a_grad)
+    b = Tensor(b0, requires_grad=b_grad)
+    with Tape() as tape:
+        out = matmul(a, b, band=band)
+        if a_grad or b_grad:
+            tape.backward(sum_all(mul(out, Tensor(r0))))
+    return out.data, a.grad, b.grad
+
+
+def _assert_same_product(got, want, exact, bound):
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("T", [17, 33, 64, 65])
+@pytest.mark.parametrize("N", [1, 7, 777, 4096])
+def test_banded_matmul_matches_the_dense_product(dtype, T, N, monkeypatch):
+    """Output, ga and gb of matmul(band=k) against matmul(band=None).
+
+    From two row blocks on (T >= 32), the band multiplies fewer zeros in
+    several GEMMs. Above a few thousand columns OpenBLAS runs those and the
+    dense call through the same kernel, which sums in index order, so the
+    bits agree; at small N its gemv and small-matrix kernels sum in an order
+    that depends on the shape, so the two agree to within the product's
+    rounding bound, 2 T eps |a| |b|. ga is the dense product in both.
+    """
+    calls = []
+    band_product = tensor._band_product
+    monkeypatch.setattr(tensor, "_band_product",
+                        lambda *args: calls.append(1) or band_product(*args))
+    eps = np.finfo(dtype).eps
+    for k in sorted({1, 2, 4, 16, 17, T - 1}):
+        rng = np.random.default_rng([T, N, k])
+        full = rng.standard_normal((T, T)).astype(dtype)
+        a0 = np.tril(full) - np.tril(full, -k)
+        b0 = rng.standard_normal((T, N)).astype(dtype)
+        r0 = rng.standard_normal((T, N)).astype(dtype)
+        banded = T >= 2 * _BAND_ROWS and k < T
+        exact = not banded or N >= 4096
+        bound_f = 2 * T * eps * (np.abs(a0) @ np.abs(b0))
+        bound_b = 2 * T * eps * (np.abs(a0).T @ np.abs(r0))
+        for a_grad, b_grad in ((False, False), (True, False), (False, True),
+                               (True, True)):
+            calls.clear()
+            got = _banded_run(a0, b0, r0, k, a_grad, b_grad)
+            assert len(calls) == banded * (1 + b_grad)
+            want = _banded_run(a0, b0, r0, None, a_grad, b_grad)
+            _assert_same_product(got[0], want[0], exact, bound_f)
+            if a_grad:
+                assert got[1].tobytes() == want[1].tobytes()
+            if b_grad:
+                _assert_same_product(got[2], want[2], exact, bound_b)
+
+
+@pytest.mark.parametrize("T, k", [(_BAND_ROWS, 4), (2 * _BAND_ROWS - 1, 4),
+                                  (40, 40), (40, 41)])
+def test_short_or_full_bands_are_one_dense_call(T, k, monkeypatch):
+    monkeypatch.setattr(tensor, "_band_product", None)  # a call would raise
+    rng = np.random.default_rng(T)
+    a = Tensor(np.tril(rng.standard_normal((T, T))), requires_grad=True)
+    b = Tensor(rng.standard_normal((T, 3)), requires_grad=True)
+    with Tape() as tape:
+        out = matmul(a, b, band=k)
+        tape.backward(sum_all(out))
+    assert out.data.tobytes() == (a.data @ b.data).tobytes()
+    ones = np.ones((T, 3))
+    assert b.grad.tobytes() == (a.data.T @ ones).tobytes()
 
 
 def _linear_by_composition(x, w, b):
