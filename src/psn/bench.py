@@ -249,23 +249,18 @@ def measure_memory(T=16, N=1024):
 
 def memory_summary(records):
     """(peak_no_neuron, peak_if, peak_psn, excess ratio IF/parallel) of the
-    tracked peaks in ``measure_memory`` records; see ``bench_memory``."""
-    peaks = {r.configuration: r.peak_tracked_bytes for r in records}
-    d_if = peaks["if_neuron"] - peaks["no_neuron"]
-    d_psn = peaks["psn"] - peaks["no_neuron"]
-    ratio = d_if / d_psn if d_psn > 0 else float("nan")
-    return (peaks["no_neuron"], peaks["if_neuron"], peaks["psn"], ratio)
-
-
-def bench_memory(T=16, N=1024):
-    """(peak_no_neuron, peak_if, peak_psn, excess ratio IF/parallel).
+    tracked peaks in ``measure_memory`` records.
 
     The ratio divides what the IF neuron adds over the bare stack by what the
     dense parallel neuron adds; serial IF retains both the charge and the
     post-reset potential per step, the parallel kind only its charge, so the
     expected value sits near 2.
     """
-    return memory_summary(measure_memory(T, N))
+    peaks = {r.configuration: r.peak_tracked_bytes for r in records}
+    d_if = peaks["if_neuron"] - peaks["no_neuron"]
+    d_psn = peaks["psn"] - peaks["no_neuron"]
+    ratio = d_if / d_psn if d_psn > 0 else float("nan")
+    return (peaks["no_neuron"], peaks["if_neuron"], peaks["psn"], ratio)
 
 
 def to_csv(records):

@@ -19,6 +19,7 @@ class exactly, so perfect weights exist.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 
 import numpy as np
@@ -172,48 +173,38 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def load_idx_images(path):
-    """Standard big-endian IDX image container -> (N, H, W) float32 in [0, 1]."""
+def _read_idx(path, magic, kind, ndim):
+    """(dims, uint8 payload) of a big-endian IDX file with ``ndim`` dims."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 4:
         raise ParseError("IDX file shorter than its magic", offset=0)
-    magic = struct.unpack(">I", blob[:4])[0]
-    if magic != _IDX_IMAGE_MAGIC:
+    got = struct.unpack(">I", blob[:4])[0]
+    if got != magic:
         raise ParseError(
-            f"bad IDX image magic 0x{magic:08x}, expected "
-            f"0x{_IDX_IMAGE_MAGIC:08x}", offset=0)
-    if len(blob) < 16:
-        raise ParseError("IDX image header truncated", offset=len(blob))
-    n, h, w = struct.unpack(">III", blob[4:16])
-    need = 16 + n * h * w
+            f"bad IDX {kind} magic 0x{got:08x}, expected 0x{magic:08x}",
+            offset=0)
+    start = 4 + 4 * ndim
+    if len(blob) < start:
+        raise ParseError(f"IDX {kind} header truncated", offset=len(blob))
+    dims = struct.unpack(f">{ndim}I", blob[4:start])
+    need = start + math.prod(dims)
     if len(blob) < need:
         raise ParseError(
-            f"IDX image payload truncated: need {need} bytes, have "
+            f"IDX {kind} payload truncated: need {need} bytes, have "
             f"{len(blob)}", offset=len(blob))
-    pixels = np.frombuffer(blob[16:need], dtype=np.uint8)
-    return pixels.reshape(n, h, w).astype(np.float32) / 255.0
+    return dims, np.frombuffer(blob[start:need], dtype=np.uint8)
+
+
+def load_idx_images(path):
+    """Standard big-endian IDX image container -> (N, H, W) float32 in [0, 1]."""
+    dims, pixels = _read_idx(path, _IDX_IMAGE_MAGIC, "image", 3)
+    return pixels.reshape(dims).astype(np.float32) / 255.0
 
 
 def load_idx_labels(path):
     """Standard big-endian IDX label container -> (N,) int64."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 4:
-        raise ParseError("IDX file shorter than its magic", offset=0)
-    magic = struct.unpack(">I", blob[:4])[0]
-    if magic != _IDX_LABEL_MAGIC:
-        raise ParseError(
-            f"bad IDX label magic 0x{magic:08x}, expected "
-            f"0x{_IDX_LABEL_MAGIC:08x}", offset=0)
-    if len(blob) < 8:
-        raise ParseError("IDX label header truncated", offset=len(blob))
-    n = struct.unpack(">I", blob[4:8])[0]
-    if len(blob) < 8 + n:
-        raise ParseError(
-            f"IDX label payload truncated: need {8 + n} bytes, have "
-            f"{len(blob)}", offset=len(blob))
-    return np.frombuffer(blob[8:8 + n], dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, _IDX_LABEL_MAGIC, "label", 1)[1].astype(np.int64)
 
 
 def load_csv_labels(path):

@@ -3,14 +3,14 @@ from .parallel import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                        blend_mask, build_mask, lambda_schedule,
                        masked_psn_forward, psn_forward, spsn_build_A,
                        spsn_forward)
-from .surrogate import SurrogateConfig, heaviside_surrogate, smooth_step
+from .surrogate import heaviside_surrogate, smooth_step
 from .trace import SpikeTrace
 from .vanilla import (VanillaNeuronParams, apply_reset, charge,
                       parallel_no_reset, vanilla_sequence, vanilla_step)
 
 __all__ = [
     "KINDS", "ORDER_KINDS", "T_SIZED_KINDS", "make",
-    "SurrogateConfig", "heaviside_surrogate", "smooth_step",
+    "heaviside_surrogate", "smooth_step",
     "SpikeTrace",
     "VanillaNeuronParams", "charge", "apply_reset", "vanilla_step",
     "vanilla_sequence", "parallel_no_reset",

@@ -1,10 +1,11 @@
 """The neuron-kind registry: the one place a kind name becomes a neuron.
 
-Every kind is a parameter object with a ``forward(x, cfg=None,
-relaxed=False)`` method, which returns a SpikeTrace for a (T, N) input, and
-a ``names`` tuple of its learnable tensors as checkpoints name them. The
-reset-free kinds are the IF/LIF parameters with ``reset_mode`` fixed to
-"none", which their ``forward`` runs as one whole-sequence recurrence.
+Every kind is a parameter object with a ``forward(x, *, relaxed=False)``
+method, which returns a SpikeTrace for a (T, N) input, and a ``names``
+tuple of its learnable tensors as checkpoints name them. The module-level
+forwards take ``(x, p, *, relaxed=False)``. The reset-free kinds are the
+IF/LIF parameters with ``reset_mode`` fixed to "none", which their
+``forward`` runs as one whole-sequence recurrence.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """The PSN family: fully parallel, masked, and sliding variants.
 
-All three drop the recurrence entirely. The plain PSN charges with a dense
-learnable T x T matrix, H = W X, and fires against a learnable per-time-step
-threshold vector B: one matmul and one elementwise op for the whole
-sequence. The masked PSN multiplies W elementwise with a banded causal mask
-(blended toward all-ones by a schedule-driven lambda while training warms
-up). The sliding PSN shares k weights across time, which makes it
-sequence-length-agnostic; its charge can be computed either by building the
-banded Toeplitz matrix and multiplying, or by sliding the kernel directly
-(conv path, forward only). The fully masked (lambda 1) and the sliding
-charge matrices are zero outside their k lower diagonals, so both hand
-``matmul`` their band: from T=32 on, the forward and the input gradient run
-as a block-banded product that multiplies only that band.
+All three drop the recurrence entirely: each builds a T x T charge matrix,
+charges with one product, H = A X, and fires through one shared tail,
+``_fire``. The plain PSN's A is a dense learnable W, fired against a
+learnable per-time-step threshold vector B. The masked PSN's A is W times a
+banded causal mask, blended toward all-ones by a schedule-driven lambda
+while training warms up; the blend is cached once per lambda. The sliding
+PSN shares k weights across time and builds its banded Toeplitz A from T
+at call time, which makes it sequence-length-agnostic. The fully masked
+(lambda 1) and the sliding charge matrices are zero outside their k lower
+diagonals, so both hand ``matmul`` their band: from T=32 on, the forward
+and the input gradient run as a block-banded product that multiplies only
+that band.
 
 Initialization follows the reference recipe: dense weights from
 U(-sqrt(5), sqrt(5)), sliding weights 2^(i-k+1) (newest weight 1, halving
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError, ShapeMismatchError
-from ..tensor import Tensor, active_tape, matmul, mul, taped_op
+from ..tensor import Tensor, matmul, mul, taped_op
 from .surrogate import heaviside_surrogate
 from .trace import SpikeTrace
 
@@ -61,27 +61,22 @@ class PSNParams:
     def parameters(self):
         return [self.weight, self.threshold]
 
-    def forward(self, x, cfg=None, relaxed=False):
-        return psn_forward(x, self, cfg, relaxed)
+    def forward(self, x, *, relaxed=False):
+        return psn_forward(x, self, relaxed=relaxed)
 
 
 class MaskedPSNParams(PSNParams):
     """PSN weights under a k-banded causal mask, blended by lambda.
 
     ``lam`` is schedule state, not a parameter: 0 means no masking (dense
-    PSN), 1 means fully masked (causal, k steps of history). The mask itself
-    is fixed by (T, k) and cached.
+    PSN), 1 means fully masked (causal, k steps of history). The mask is
+    fixed by (T, k); it and its blend at the current lambda are cached.
     """
 
     def __init__(self, weight, threshold, order_k, lam=1.0):
         super().__init__(weight, threshold)
-        T = self.num_steps
-        if not 1 <= order_k <= T:
-            raise ContractError(f"mask order must satisfy 1 <= k <= {T}, "
-                                f"got {order_k}")
         self.order_k = int(order_k)
-        self.mask = build_mask(T, self.order_k)
-        self.lam = None
+        self.mask = build_mask(self.num_steps, self.order_k)
         self.set_lambda(lam)
 
     @classmethod
@@ -90,12 +85,11 @@ class MaskedPSNParams(PSNParams):
         return cls(base.weight, base.threshold, order_k, lam)
 
     def set_lambda(self, lam):
-        if not 0.0 <= lam <= 1.0:
-            raise ContractError(f"lambda must lie in [0, 1], got {lam}")
+        self.blended = blend_mask(self.mask, lam)
         self.lam = float(lam)
 
-    def forward(self, x, cfg=None, relaxed=False):
-        return masked_psn_forward(x, self, cfg, relaxed)
+    def forward(self, x, *, relaxed=False):
+        return masked_psn_forward(x, self, relaxed=relaxed)
 
 
 class SlidingPSNParams:
@@ -131,8 +125,8 @@ class SlidingPSNParams:
     def parameters(self):
         return [self.kernel, self.threshold]
 
-    def forward(self, x, cfg=None, relaxed=False):
-        return spsn_forward(x, self, cfg, relaxed=relaxed)
+    def forward(self, x, *, relaxed=False):
+        return spsn_forward(x, self, relaxed=relaxed)
 
 
 def _check_charge_input(x, num_steps):
@@ -146,12 +140,14 @@ def _check_charge_input(x, num_steps):
             f"for {num_steps}")
 
 
-def psn_forward(x, p, cfg=None, relaxed=False):
+def _fire(h, threshold, relaxed):
+    return SpikeTrace(heaviside_surrogate(h, threshold, relaxed=relaxed), h=h)
+
+
+def psn_forward(x, p, *, relaxed=False):
     """H = W X; S = Theta(H - B), B broadcast over the batch axis."""
     _check_charge_input(x, p.num_steps)
-    h = matmul(p.weight, x)
-    s = heaviside_surrogate(h, p.threshold, cfg, relaxed=relaxed)
-    return SpikeTrace(s, h=h)
+    return _fire(matmul(p.weight, x), p.threshold, relaxed)
 
 
 def build_mask(num_steps, order_k):
@@ -173,15 +169,15 @@ def blend_mask(mask, lam):
     return Tensor(blended)
 
 
-def masked_psn_forward(x, p, cfg=None, relaxed=False):
-    """PSN charge under the blended mask; gradient reaches W, never the mask."""
+def masked_psn_forward(x, p, *, relaxed=False):
+    """PSN charge under the blended mask; gradient reaches W, never the mask.
+
+    At lambda 1 the blend is the mask itself, so the product is banded.
+    """
     _check_charge_input(x, p.num_steps)
-    if p.lam == 1.0:
-        h = matmul(mul(p.weight, p.mask), x, band=p.order_k)
-    else:
-        h = matmul(mul(p.weight, blend_mask(p.mask, p.lam)), x)
-    s = heaviside_surrogate(h, p.threshold, cfg, relaxed=relaxed)
-    return SpikeTrace(s, h=h)
+    band = p.order_k if p.lam == 1.0 else None
+    return _fire(matmul(mul(p.weight, p.blended), x, band=band),
+                 p.threshold, relaxed)
 
 
 def lambda_schedule(epoch, epochs):
@@ -218,36 +214,12 @@ def spsn_build_A(p, num_steps):
     return taped_op((p.kernel,), a, backward)
 
 
-def spsn_forward(x, p, cfg=None, path="matmul", relaxed=False):
+def spsn_forward(x, p, *, relaxed=False):
     """Sliding charge H[t] = sum_i W[i] x[t-k+1+i], inputs before t=0 zero.
 
     T comes from ``x``, not the parameters: the same kernel serves any
-    sequence length. The conv path slides the kernel directly and is forward
-    only; the matmul path builds A and participates in autodiff.
+    sequence length.
     """
     _check_charge_input(x, None)
-    if path == "matmul":
-        a = spsn_build_A(p, x.data.shape[0])
-        h = matmul(a, x, band=p.order_k)
-        s = heaviside_surrogate(h, p.threshold, cfg, relaxed=relaxed)
-        return SpikeTrace(s, h=h)
-    if path == "conv":
-        if active_tape() is not None and any(
-                t.requires_grad for t in (x, p.kernel, p.threshold)):
-            raise ContractError(
-                "the conv path is forward only; use path='matmul' to "
-                "record gradients on the active tape")
-        xd = x.data
-        kd = p.kernel.data
-        k = kd.shape[0]
-        T = xd.shape[0]
-        padded = np.concatenate(
-            [np.zeros((k - 1,) + xd.shape[1:], dtype=xd.dtype), xd])
-        hd = np.zeros_like(xd)
-        for i in range(k):
-            hd += kd[i] * padded[i:i + T]
-        h = Tensor(hd)
-        s = heaviside_surrogate(h, p.threshold.detached(), cfg,
-                                relaxed=relaxed)
-        return SpikeTrace(s, h=h)
-    raise ContractError(f"unknown charge path {path!r}")
+    a = spsn_build_A(p, x.data.shape[0])
+    return _fire(matmul(a, x, band=p.order_k), p.threshold, relaxed)

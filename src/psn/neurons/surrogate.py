@@ -6,7 +6,7 @@ backward pass swaps in
 
     sigma(x) = alpha / (2 * (1 + (pi/2 * alpha * x)^2))
 
-evaluated at x = h - threshold. At alpha = 4 (the default everywhere),
+evaluated at x = h - threshold, with alpha fixed at 4 (``ALPHA``), so
 sigma(0) = 2. ``smooth_step`` is the primitive of sigma; gradient checks
 finite-difference it instead of the discontinuous step, which is the only
 honest way to check a surrogate backward.
@@ -19,55 +19,43 @@ thresholds receive the negated, reduced surrogate gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import ContractError, ShapeMismatchError
+from ..errors import ShapeMismatchError
 from ..tensor import Tensor, taped_op
 
-DEFAULT_ALPHA = 4.0
+ALPHA = 4.0
 
 
-@dataclass(frozen=True)
-class SurrogateConfig:
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ContractError(f"surrogate alpha must be > 0, got {self.alpha}")
-
-
-def smooth_step(x, alpha=DEFAULT_ALPHA):
+def smooth_step(x):
     """Antiderivative of sigma: arctan(pi/2 * alpha * x) / pi + 1/2."""
-    return np.arctan(0.5 * np.pi * alpha * x) / np.pi + 0.5
+    return np.arctan(0.5 * np.pi * ALPHA * x) / np.pi + 0.5
 
 
-def _sigma_into(x, alpha, scale=1.0):
+def _sigma_into(x, scale=1.0):
     """scale * sigma(x) computed in place; x is consumed.
 
     ``scale`` multiplies the numerator, which saves a pass when the upstream
     gradient is one broadcast scalar. At 1.0 the result is sigma(x) exactly.
     """
     dtype = x.dtype.type
-    c = dtype(0.5 * np.pi * alpha)
+    c = dtype(0.5 * np.pi * ALPHA)
     # Squaring huge inputs overflows to inf; sigma then rounds to 0, which
     # is the correct limit, so the overflow is not an error here.
     with np.errstate(over="ignore"):
         np.multiply(x, c, out=x)
         np.multiply(x, x, out=x)
         x += dtype(1.0)
-        np.divide(dtype(0.5 * alpha) * dtype(scale), x, out=x)
+        np.divide(dtype(0.5 * ALPHA) * dtype(scale), x, out=x)
     return x
 
 
-def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
+def heaviside_surrogate(h, threshold, *, relaxed=False):
     """Spike tensor Theta(h - threshold), surrogate gradient on the way back.
 
     ``relaxed`` replaces the step with ``smooth_step`` so the whole forward
     becomes differentiable; verification uses it, training never does.
     """
-    alpha = (cfg.alpha if cfg is not None else DEFAULT_ALPHA)
     hd = h.data
 
     if isinstance(threshold, Tensor):
@@ -90,7 +78,7 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
 
     # asarray: on a 0-d charge both forms give a numpy scalar.
     if relaxed:
-        s_data = np.asarray(smooth_step(hd - thb, alpha))
+        s_data = np.asarray(smooth_step(hd - thb))
     else:
         s_data = np.asarray(np.greater_equal(hd, thb).astype(hd.dtype))
 
@@ -101,9 +89,9 @@ def heaviside_surrogate(h, threshold, cfg=None, relaxed=False):
         x = np.asarray(hd - thb)
         if g.size and not any(g.strides):
             # One scalar broadcast everywhere, as sum_all hands back.
-            dh = _sigma_into(x, alpha, g.flat[0])
+            dh = _sigma_into(x, g.flat[0])
         else:
-            dh = _sigma_into(x, alpha)
+            dh = _sigma_into(x)
             np.multiply(dh, g, out=dh)
         if th is None or not th.requires_grad:
             return (dh,) if th is None else (dh, None)

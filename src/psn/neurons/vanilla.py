@@ -54,10 +54,10 @@ class VanillaNeuronParams:
                 f"hard reset needs v_th > v_reset, got v_th={self.v_th}, "
                 f"v_reset={self.v_reset}")
 
-    def forward(self, x, cfg=None, relaxed=False):
+    def forward(self, x, *, relaxed=False):
         if self.reset_mode == "none":
-            return parallel_no_reset(x, self, cfg, relaxed)
-        return vanilla_sequence(x, self, cfg, relaxed)
+            return parallel_no_reset(x, self, relaxed=relaxed)
+        return vanilla_sequence(x, self, relaxed=relaxed)
 
 
 def charge(x_t, v_prev, p):
@@ -147,22 +147,22 @@ def _select_reset(hd, sd, v_reset):
     return out
 
 
-def vanilla_step(x_t, v_prev, p, cfg=None, relaxed=False):
+def vanilla_step(x_t, v_prev, p, *, relaxed=False):
     """(spike, new potential, charge) for one time step."""
     h = charge(x_t, v_prev, p)
-    s = heaviside_surrogate(h, p.v_th, cfg, relaxed=relaxed)
+    s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
     v = apply_reset(h, s, p, relaxed=relaxed)
     return s, v, h
 
 
-def vanilla_sequence(x, p, cfg=None, relaxed=False):
+def vanilla_sequence(x, p, *, relaxed=False):
     """Run the serial loop over the leading time axis of ``x``."""
     rows = split_rows(x)
     v = Tensor(np.zeros(rows[0].data.shape, dtype=x.data.dtype))
     s_rows = []
     h_rows = []
     for x_t in rows:
-        s, v, h = vanilla_step(x_t, v, p, cfg, relaxed=relaxed)
+        s, v, h = vanilla_step(x_t, v, p, relaxed=relaxed)
         s_rows.append(s)
         h_rows.append(h)
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
@@ -187,7 +187,7 @@ def _recurrence(x, decay, scale, reverse=False):
     return h
 
 
-def parallel_no_reset(x, p, cfg=None, relaxed=False):
+def parallel_no_reset(x, p, *, relaxed=False):
     """Whole-sequence charge as one taped recurrence op, then one firing op.
 
     Requires reset_mode "none": resetting couples H[t] to the spike history
@@ -208,5 +208,5 @@ def parallel_no_reset(x, p, cfg=None, relaxed=False):
         return (_recurrence(gouts[0], decay, scale, reverse=True),)
 
     h = taped_op((x,), _recurrence(x.data, decay, scale), backward)
-    s = heaviside_surrogate(h, p.v_th, cfg, relaxed=relaxed)
+    s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
     return SpikeTrace(s, h=h)

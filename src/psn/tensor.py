@@ -192,10 +192,6 @@ class Tape:
         stack.pop()
         return False
 
-    def record(self, inputs, outputs, backward):
-        self._records.append(
-            (tuple(inputs), tuple(t.node_id for t in outputs), backward))
-
     def backward(self, loss):
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
@@ -570,9 +566,10 @@ def split_rows(a):
 
     rg = a.requires_grad
     outs = [Tensor._make(r, rg) for r in rows]
-    tape = active_tape()
-    if rg and tape is not None:
-        tape.record((a,), outs, backward)
+    stack = _tls.stack
+    if rg and stack:
+        stack[-1]._records.append(
+            ((a,), tuple(t.node_id for t in outs), backward))
     return outs
 
 

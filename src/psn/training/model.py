@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, DivergenceError
-from ..neurons import (KINDS, T_SIZED_KINDS, MaskedPSNParams,
-                       SurrogateConfig, make)
+from ..neurons import KINDS, T_SIZED_KINDS, MaskedPSNParams, make
 from ..tensor import Tensor, linear, reshape
 
 HEADS = ("time-averaged", "per-step")
@@ -86,15 +85,13 @@ class LinearLayer:
 
 class NeuronLayer:
     def __init__(self, kind, opts, num_steps, rng, dtype=np.float32):
-        opts = dict(opts or {})
         self.kind = kind
-        self.cfg = SurrogateConfig(alpha=opts.pop("alpha", 4.0))
         self.params = make(kind, num_steps, rng, opts, dtype)
         self.last_trace = None
 
     def __call__(self, x):
         T, N, C = x.data.shape
-        trace = self.params.forward(reshape(x, (T, N * C)), self.cfg)
+        trace = self.params.forward(reshape(x, (T, N * C)))
         self.last_trace = trace
         return reshape(trace.s, (T, N, C))
 

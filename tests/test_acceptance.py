@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from psn.bench import BenchConfig, bench_memory, run_bench
+from psn.bench import BenchConfig, measure_memory, memory_summary, run_bench
 from psn.data import synth_toy_dataset
 from psn.neurons import SlidingPSNParams, lambda_schedule, spsn_build_A
 from psn.tensor import Tensor
@@ -99,7 +99,7 @@ def test_06_parallel_training_step_outpaces_serial():
 
 
 def test_07_memory_overhead_ratio_in_band():
-    _, _, _, ratio = bench_memory(T=16, N=1024)
+    _, _, _, ratio = memory_summary(measure_memory(T=16, N=1024))
     ok = 1.5 <= ratio <= 2.5
     _report("07 memory ratio", ok, f"ratio={ratio:.2f}")
     assert 1.5 <= ratio <= 2.5

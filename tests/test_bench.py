@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from psn.bench import (BenchConfig, CSV_COLUMNS, bench_input, bench_memory,
-                       grid_table, measure_memory, run_bench, to_csv)
+from psn.bench import (BenchConfig, CSV_COLUMNS, bench_input, grid_table,
+                       measure_memory, memory_summary, run_bench, to_csv)
 from psn.errors import ContractError
 
 TINY = dict(n_values=(32,), t_values=(2, 4), warmup_iters=0,
@@ -126,7 +126,7 @@ def test_memory_probe_reports_the_real_peak_beside_the_tracked_one():
 def test_memory_ratio_band():
     # Reset overhead of the stepwise neuron against the one-shot matrix
     # form, both measured above the same no-neuron baseline.
-    m_no, m_if, m_psn, ratio = bench_memory(T=16, N=256)
+    m_no, m_if, m_psn, ratio = memory_summary(measure_memory(T=16, N=256))
     assert m_no < m_if and m_no < m_psn
     assert 1.5 <= ratio <= 2.5
 
@@ -134,7 +134,7 @@ def test_memory_ratio_band():
 def test_memory_overhead_scales_with_t_times_n():
     rows = []
     for t, n in ((16, 256), (16, 512), (32, 256)):
-        m_no, m_if, m_psn, _ = bench_memory(T=t, N=n)
+        m_no, m_if, m_psn, _ = memory_summary(measure_memory(T=t, N=n))
         rows.append(((m_if - m_no) - (m_psn - m_no)) / (t * n))
     # Per-element gap should be roughly constant across shapes.
     lo, hi = min(rows), max(rows)

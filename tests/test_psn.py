@@ -8,7 +8,7 @@ from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                         VanillaNeuronParams, blend_mask, build_mask,
                         lambda_schedule, masked_psn_forward, psn_forward,
                         spsn_build_A, spsn_forward, vanilla_sequence)
-from psn import tensor
+from psn import tensor, verify
 from psn.neurons import parallel
 from psn.tensor import Tape, Tensor, mul, sum_all
 
@@ -256,16 +256,10 @@ def test_spsn_conv_and_matmul_paths_agree():
     rng = np.random.default_rng(48)
     for k in (1, 2, 5, 8):
         p = SlidingPSNParams.create(k, dtype=np.float64)
-        x = Tensor(rng.standard_normal((32, 4)))
-        hm = spsn_forward(x, p, path="matmul").h.data
-        hc = spsn_forward(x, p, path="conv").h.data
-        np.testing.assert_allclose(hc, hm, atol=1e-6)
-
-
-def test_spsn_unknown_path_rejected():
-    p = SlidingPSNParams.create(2)
-    with pytest.raises(ContractError):
-        spsn_forward(Tensor(np.ones((4, 1))), p, path="fft")
+        x = rng.standard_normal((32, 4))
+        h = spsn_forward(Tensor(x), p).h.data
+        np.testing.assert_allclose(
+            h, verify._conv_charge(p.kernel.data, x), atol=1e-6)
 
 
 def test_spsn_is_time_invariant_inside_the_band():
@@ -289,29 +283,6 @@ def test_spsn_kernel_gradient_sums_diagonals():
         tape.backward(sum_all(mul(a, Tensor(proj))))
     expect = np.array([np.trace(proj, offset=-(3 - 1 - i)) for i in range(3)])
     np.testing.assert_allclose(p.kernel.grad, expect, rtol=1e-12)
-
-
-def test_conv_path_is_forward_only():
-    p = SlidingPSNParams.create(2)
-    x = Tensor(np.ones((4, 2)), requires_grad=True)
-    trace = spsn_forward(x, p, path="conv")
-    # Nothing differentiable comes out: the sliding loop detaches its
-    # inputs, so no gradient can ever reach kernel, threshold, or x.
-    assert not trace.s.requires_grad and not trace.h.requires_grad
-    assert p.kernel.grad is None and p.threshold.grad is None
-
-
-def test_conv_path_refuses_a_tape_that_wants_gradients():
-    p = SlidingPSNParams.create(2)
-    x = Tensor(np.ones((4, 2)), requires_grad=True)
-    with Tape():
-        with pytest.raises(ContractError, match="forward only"):
-            spsn_forward(x, p, path="conv")
-    # Under a tape with nothing to differentiate it still runs.
-    frozen = SlidingPSNParams(p.kernel.detached(), p.threshold.detached())
-    with Tape():
-        trace = spsn_forward(Tensor(np.ones((4, 2))), frozen, path="conv")
-    assert not trace.s.requires_grad
 
 
 def test_sliding_param_validation():

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from psn.errors import ContractError, ShapeMismatchError
-from psn.neurons import SurrogateConfig, heaviside_surrogate, smooth_step
+from psn.errors import ShapeMismatchError
+from psn.neurons import heaviside_surrogate, smooth_step
 from psn.tensor import Tape, Tensor, mul, sum_all, taped_op
 
 
-def _sigma(x, alpha=None):
+def _sigma(x):
     """sigma(x), read off the taped backward of the firing op at threshold 0."""
     h = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-    cfg = None if alpha is None else SurrogateConfig(alpha=alpha)
     with Tape() as tape:
-        tape.backward(sum_all(heaviside_surrogate(h, 0.0, cfg)))
+        tape.backward(sum_all(heaviside_surrogate(h, 0.0)))
     return h.grad
 
 
@@ -36,8 +35,7 @@ def test_outputs_are_binary():
 
 
 def test_sigma_peak_is_alpha_over_two():
-    assert _sigma(0.0, alpha=4.0) == pytest.approx(2.0)
-    # Default alpha is 4 as well.
+    # alpha is fixed at 4.
     assert _sigma(0.0) == pytest.approx(2.0)
 
 
@@ -126,9 +124,9 @@ def test_broadcast_scaled_gradient_folds_within_one_ulp(dtype, monkeypatch):
 
     scales = []
 
-    def spy(x, alpha, *scale):
+    def spy(x, *scale):
         scales.append(scale)
-        return sigma_into(x, alpha, *scale)
+        return sigma_into(x, *scale)
 
     sigma_into = surrogate._sigma_into
     monkeypatch.setattr(surrogate, "_sigma_into", spy)
@@ -170,21 +168,6 @@ def test_bad_threshold_shape_rejected():
     h = Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeMismatchError):
         heaviside_surrogate(h, Tensor(np.zeros(7)))
-
-
-def test_alpha_must_be_positive():
-    with pytest.raises(ContractError):
-        SurrogateConfig(alpha=0.0)
-    with pytest.raises(ContractError):
-        SurrogateConfig(alpha=-1.0)
-
-
-def test_custom_alpha_changes_slope():
-    h = Tensor(np.array([0.0]), requires_grad=True)
-    with Tape() as tape:
-        s = heaviside_surrogate(h, 0.0, cfg=SurrogateConfig(alpha=2.0))
-        tape.backward(sum_all(s))
-    np.testing.assert_allclose(h.grad, [1.0])
 
 
 def test_huge_inputs_stay_finite():

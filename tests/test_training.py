@@ -305,10 +305,11 @@ def test_load_state_dict_strictness():
 
 
 def test_unknown_neuron_options_rejected():
-    spec = ModelSpec(layers=(("linear", 4, 4), ("neuron", "lif",
-                                                {"leak": 0.5})))
-    with pytest.raises(ContractError):
-        Model(spec, 4)
+    # The surrogate's alpha is fixed, so it is no neuron option either.
+    for opts in ({"leak": 0.5}, {"alpha": 2.0}):
+        spec = ModelSpec(layers=(("linear", 4, 4), ("neuron", "lif", opts)))
+        with pytest.raises(ContractError, match="unknown neuron options"):
+            Model(spec, 4)
 
 
 def test_masked_lambda_plumbing():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from psn.bench import bench_memory
+from psn.bench import measure_memory, memory_summary
 from psn.errors import ContractError
 from psn.neurons import (VanillaNeuronParams, apply_reset, charge,
                         heaviside_surrogate, parallel_no_reset,
@@ -160,7 +160,7 @@ def test_exact_hard_reset_is_where_bit_for_bit(dtype, v_reset):
 def test_exact_hard_reset_keeps_the_tracked_bytes():
     # The reset's output owns its buffer, as np.where's did, so the
     # tracker counts the same bytes as before.
-    *peaks, ratio = bench_memory(16, 1024)
+    *peaks, ratio = memory_summary(measure_memory(16, 1024))
     assert peaks == [17170432, 17694720, 17433664]
     assert round(ratio, 4) == 1.9917
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError
-from psn.neurons import vanilla
+from psn.neurons import parallel, vanilla
+from psn.tensor import Tensor
 from psn.verify import (SUITES, SuiteResult, run_suites, suite_conv_vs_matmul,
                        suite_grad, suite_mask_causality,
                        suite_psn_subsumption, suite_serial_parallel)
@@ -49,6 +50,20 @@ def test_mask_causality_passes_and_counts():
 def test_conv_vs_matmul_passes():
     result = suite_conv_vs_matmul(t_values=(4, 9, 16), num_seeds=2)
     assert result.passed
+
+
+def test_conv_vs_matmul_catches_a_wrong_sliding_charge(monkeypatch):
+    build = parallel.spsn_build_A
+
+    def short_band(p, num_steps):
+        # The charge loses its oldest diagonal, k-1 below the main one; the
+        # suite's own imported spsn_build_A still builds the whole band.
+        return Tensor(np.triu(build(p, num_steps).data, 2 - p.order_k))
+
+    monkeypatch.setattr(parallel, "spsn_build_A", short_band)
+    result = suite_conv_vs_matmul(t_values=(4, 16), num_seeds=2)
+    assert not result.passed
+    assert all("max|dH|" in w for w in result.failures)
 
 
 def test_grad_suite_passes_at_reduced_count():
