@@ -11,7 +11,9 @@ at call time, which makes it sequence-length-agnostic. The fully masked
 (lambda 1) and the sliding charge matrices are zero outside their k lower
 diagonals, so both hand ``matmul`` their band: from T=32 on, the forward
 and the input gradient run as a block-banded product that multiplies only
-that band.
+that band, and for k <= T/4 the charge matrix's gradient is computed on the
+band alone (zero elsewhere), as it reaches W only through the mask and the
+kernel only through its diagonals.
 
 Initialization follows the reference recipe: dense weights from
 U(-sqrt(5), sqrt(5)), sliding weights 2^(i-k+1) (newest weight 1, halving
@@ -192,7 +194,8 @@ def lambda_schedule(epoch, epochs):
 def spsn_build_A(p, num_steps):
     """Banded Toeplitz charge matrix: A[i][j] = W[k-1-i+j] for i-k+1 <= j <= i.
 
-    Taped: gradients reach the kernel by summing each band's diagonal.
+    Taped: gradients reach the kernel by summing each band's diagonal, so
+    the charge product may hand back a gradient that is zero off the band.
     """
     if num_steps < 1:
         raise ContractError(f"need at least one time step, got {num_steps}")

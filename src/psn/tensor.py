@@ -37,6 +37,7 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ContractError, ShapeMismatchError
 
@@ -368,13 +369,34 @@ def _band_product(a, b, k, transpose):
     return out
 
 
+def _band_weight_grad(g, b, k):
+    """g @ b.T on its k lower diagonals, exactly +0.0 everywhere else.
+
+    Row i >= k-1 of the band is the product of the k rows of ``b`` that row
+    i of ``g`` meets, so every full row takes one batched product over a
+    sliding window of ``b``; each of the k-1 head rows takes its own. That
+    is about 2 T k N flops against the dense product's 2 T^2 N.
+    """
+    T = g.shape[0]
+    out = np.zeros((T, T), dtype=np.result_type(g, b))
+    window = sliding_window_view(b, k, axis=0).transpose(0, 2, 1)
+    s0, s1 = out.strides
+    band = as_strided(out[k - 1:], (T - k + 1, k), (s0 + s1, s1))
+    band[...] = np.matmul(window, g[k - 1:, :, None])[..., 0]
+    for i in range(k - 1):
+        np.matmul(b[:i + 1], g[i], out=out[i, :i + 1])
+    return out
+
+
 def matmul(a, b, band=None):
     """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N).
 
     ``band=k`` promises that ``a`` is square and zero outside its k lower
     diagonals (columns i-k+1..i of row i). For k < T and T >= 32 the forward
-    and the gradient of ``b`` then multiply only that band; the gradient of
-    ``a`` stays dense, as callers read only its band.
+    and the gradient of ``b`` then multiply only that band. If also
+    4 k <= T, where it was measured faster than the dense product, the
+    gradient of ``a`` is computed on the band alone and is +0.0 elsewhere,
+    as callers read nothing else; otherwise it is the dense product.
     """
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
@@ -386,7 +408,12 @@ def matmul(a, b, band=None):
 
     def backward(gouts):
         g = gouts[0]
-        ga = _chunked_dot(g, bd.T) if a.requires_grad else None
+        if not a.requires_grad:
+            ga = None
+        elif banded and 4 * band <= T:
+            ga = _band_weight_grad(g, bd, band)
+        else:
+            ga = _chunked_dot(g, bd.T)
         if not b.requires_grad:
             gb = None
         elif banded:

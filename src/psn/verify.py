@@ -141,8 +141,9 @@ def suite_psn_subsumption(t_values=range(1, 65), num_seeds=5, N=32):
     return _timed("psn-subsumption", body)
 
 
-# T=40 runs as matmul's block-banded product (two row blocks and a
-# remainder), which the small grid never reaches; it is checked at 3 orders.
+# T=40 runs the forward charge as matmul's block-banded product (two row
+# blocks and a remainder), which the small grid never reaches; it is checked
+# at 3 orders. The banded gradients are the grad suite's "-banded" cases.
 _BANDED_T, _BANDED_ORDERS = 40, (1, 4, 39)
 
 
@@ -272,9 +273,9 @@ def _grad_case_builders():
         return tensors, lambda: sum_all(mul(
             psn_forward(x, p, relaxed=True).s, proj))
 
-    def masked_case(rng, t_range=(2, 7), lam=0.6):
+    def masked_case(rng, t_range=(2, 7), lam=0.6, banded=False):
         T, N = int(rng.integers(*t_range)), int(rng.integers(1, 4))
-        k = int(rng.integers(1, T + 1))
+        k = int(rng.integers(1, (T // 4 if banded else T) + 1))
         p = MaskedPSNParams(
             Tensor(rng.standard_normal((T, T)), requires_grad=True),
             Tensor(rng.standard_normal(T) * 0.3, requires_grad=True),
@@ -285,9 +286,9 @@ def _grad_case_builders():
         return tensors, lambda: sum_all(mul(
             masked_psn_forward(x, p, relaxed=True).s, proj))
 
-    def spsn_case(rng, t_range=(2, 7)):
+    def spsn_case(rng, t_range=(2, 7), banded=False):
         T, N = int(rng.integers(*t_range)), int(rng.integers(1, 4))
-        k = int(rng.integers(1, T + 1))
+        k = int(rng.integers(1, (T // 4 if banded else T) + 1))
         p = SlidingPSNParams(
             Tensor(rng.standard_normal(k), requires_grad=True),
             Tensor(np.asarray(rng.standard_normal() * 0.3),
@@ -320,9 +321,11 @@ def _grad_case_builders():
         "if-no-reset": vanilla_case("if", "none"),
         "lif-no-reset": vanilla_case("lif", "none"),
         # From T=32 on, the fully masked and the sliding charge run as
-        # matmul's block-banded product.
-        "masked-psn-banded": lambda rng: masked_case(rng, (32, 37), 1.0),
-        "spsn-banded": lambda rng: spsn_case(rng, (32, 37)),
+        # matmul's block-banded product; with k <= T/4 the charge matrix's
+        # gradient is only its band, from a sliding window.
+        "masked-psn-banded": lambda rng: masked_case(rng, (32, 37), 1.0,
+                                                     banded=True),
+        "spsn-banded": lambda rng: spsn_case(rng, (32, 37), banded=True),
     }
 
 

@@ -10,6 +10,7 @@ from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                         spsn_build_A, spsn_forward, vanilla_sequence)
 from psn import tensor, verify
 from psn.neurons import parallel
+from psn.neurons.surrogate import heaviside_surrogate
 from psn.tensor import Tape, Tensor, mul, sum_all
 
 
@@ -305,8 +306,27 @@ def _banded_step(make_params, x0, r0):
             *(t.grad for t in p.parameters())]
 
 
+def _charge_grad(make_params, h0, r0):
+    """The gradient reaching the charge h, from its spikes alone."""
+    h = Tensor(h0, requires_grad=True)
+    with Tape() as tape:
+        spikes = heaviside_surrogate(h, make_params().threshold)
+        tape.backward(sum_all(mul(spikes, Tensor(r0))))
+    return h.grad
+
+
 @pytest.mark.parametrize("kind", ["masked-psn", "spsn"])
-def test_banded_charge_is_the_dense_charge_bit_for_bit(kind, monkeypatch):
+def test_banded_step_is_the_dense_step_up_to_the_weight_gradient(
+        kind, monkeypatch):
+    """h, s, x.grad and the threshold gradient keep the dense run's bits.
+
+    The charge matrix's own gradient is summed only on its band, by a
+    sliding window in another order than the dense product, so the weight
+    (masked) and kernel (sliding) gradients are held to a float64
+    reference: per entry within the product's rounding bound
+    2 N eps |g| |x|.T, and for the kernel that bound summed along each
+    diagonal.
+    """
     T, N, k = 64, 4096, 4
     rng = np.random.default_rng(52)
     x0 = rng.standard_normal((T, N), dtype=np.float32)
@@ -319,17 +339,36 @@ def test_banded_charge_is_the_dense_charge_bit_for_bit(kind, monkeypatch):
             return MaskedPSNParams.create(T, k, np.random.default_rng(53))
 
     calls = []
-    band_product = tensor._band_product
-    monkeypatch.setattr(tensor, "_band_product",
-                        lambda *args: calls.append(1) or band_product(*args))
+    for name in ("_band_product", "_band_weight_grad"):
+        monkeypatch.setattr(tensor, name, lambda *args, name=name,
+                            real=getattr(tensor, name):
+                            calls.append(name) or real(*args))
     banded = _banded_step(make_params, x0, r0)
-    assert len(calls) == 2  # the forward and the gradient of x
+    # The forward and the gradient of x, then the charge matrix's gradient.
+    want_calls = ["_band_product", "_band_product", "_band_weight_grad"]
+    assert sorted(calls) == want_calls
     monkeypatch.setattr(parallel, "matmul",
                         lambda a, b, band=None: tensor.matmul(a, b))
     dense = _banded_step(make_params, x0, r0)
-    assert len(calls) == 2
-    for got, want in zip(banded, dense, strict=True):
+    assert sorted(calls) == want_calls
+    for i in (0, 1, 2, 4):  # h, s, x.grad, threshold grad
+        got, want = banded[i], dense[i]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    g = _charge_grad(make_params, banded[0], r0).astype(np.float64)
+    x64 = x0.astype(np.float64)
+    want = g @ x64.T
+    bound = 2 * N * np.finfo(np.float32).eps * (np.abs(g) @ np.abs(x64).T)
+    if kind == "spsn":
+        depth = np.arange(k)
+        want = np.array([np.trace(want, -d) for d in depth])[::-1]
+        bound = np.array([np.trace(bound, -d) for d in depth])[::-1]
+    else:
+        mask = build_mask(T, k).data
+        want, bound = want * mask, bound * mask
+    for got in (banded[3], dense[3]):
+        assert got.dtype == np.float32
+        assert np.all(np.abs(got - want) <= bound)
 
 
 def test_all_family_spikes_are_binary():

@@ -227,6 +227,27 @@ def _assert_same_product(got, want, exact, bound):
         assert np.all(np.abs(got - want) <= bound)
 
 
+def _assert_band_of_product(ga, g, b, k):
+    """ga is g @ b.T on its k lower diagonals, to within the product's
+    rounding bound 2 N eps |g| |b|.T of a float64 reference, and exactly +0.0
+    (no sign bit) everywhere else."""
+    T, N = g.shape
+    on = np.tri(T, dtype=bool) & ~np.tri(T, k=-k, dtype=bool)
+    g64, b64 = g.astype(np.float64), b.astype(np.float64)
+    bound = 2 * N * np.finfo(ga.dtype).eps * (np.abs(g64) @ np.abs(b64).T)
+    assert np.all(np.abs(ga - g64 @ b64.T)[on] <= bound[on])
+    assert ga[~on].tobytes() == bytes(ga[~on].nbytes)
+
+
+def _spy(monkeypatch, name):
+    """Count the calls to psn.tensor's ``name``; the list grows by one each."""
+    calls = []
+    real = getattr(tensor, name)
+    monkeypatch.setattr(tensor, name,
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("T", [17, 33, 64, 65])
 @pytest.mark.parametrize("N", [1, 7, 777, 4096])
@@ -238,12 +259,13 @@ def test_banded_matmul_matches_the_dense_product(dtype, T, N, monkeypatch):
     dense call through the same kernel, which sums in index order, so the
     bits agree; at small N its gemv and small-matrix kernels sum in an order
     that depends on the shape, so the two agree to within the product's
-    rounding bound, 2 T eps |a| |b|. ga is the dense product in both.
+    rounding bound, 2 T eps |a| |b|. Where 4 k <= T as well, ga is only the
+    band, summed by a sliding window in another order than the dense
+    product: it is checked against a float64 reference and must be +0.0
+    off the band. Elsewhere ga is the dense product's bytes.
     """
-    calls = []
-    band_product = tensor._band_product
-    monkeypatch.setattr(tensor, "_band_product",
-                        lambda *args: calls.append(1) or band_product(*args))
+    products = _spy(monkeypatch, "_band_product")
+    windows = _spy(monkeypatch, "_band_weight_grad")
     eps = np.finfo(dtype).eps
     for k in sorted({1, 2, 4, 16, 17, T - 1}):
         rng = np.random.default_rng([T, N, k])
@@ -252,20 +274,47 @@ def test_banded_matmul_matches_the_dense_product(dtype, T, N, monkeypatch):
         b0 = rng.standard_normal((T, N)).astype(dtype)
         r0 = rng.standard_normal((T, N)).astype(dtype)
         banded = T >= 2 * _BAND_ROWS and k < T
+        sliding = banded and 4 * k <= T
         exact = not banded or N >= 4096
         bound_f = 2 * T * eps * (np.abs(a0) @ np.abs(b0))
         bound_b = 2 * T * eps * (np.abs(a0).T @ np.abs(r0))
         for a_grad, b_grad in ((False, False), (True, False), (False, True),
                                (True, True)):
-            calls.clear()
+            products.clear()
+            windows.clear()
             got = _banded_run(a0, b0, r0, k, a_grad, b_grad)
-            assert len(calls) == banded * (1 + b_grad)
+            assert len(products) == banded * (1 + b_grad)
+            assert len(windows) == sliding * a_grad
             want = _banded_run(a0, b0, r0, None, a_grad, b_grad)
             _assert_same_product(got[0], want[0], exact, bound_f)
-            if a_grad:
+            if a_grad and sliding:
+                _assert_band_of_product(got[1], r0, b0, k)
+            elif a_grad:
                 assert got[1].tobytes() == want[1].tobytes()
             if b_grad:
                 _assert_same_product(got[2], want[2], exact, bound_b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["fortran", "column-strided"])
+def test_banded_weight_gradient_reads_any_layout_of_b(dtype, layout,
+                                                      monkeypatch):
+    """The sliding window reads ``b`` through its strides, so a Fortran-
+    ordered or column-strided ``b`` gives the same band."""
+    windows = _spy(monkeypatch, "_band_weight_grad")
+    T, N = 64, 777
+    for k in (1, 4, 16):
+        rng = np.random.default_rng([T, N, k, 1])
+        full = rng.standard_normal((T, T)).astype(dtype)
+        a0 = np.tril(full) - np.tril(full, -k)
+        wide = rng.standard_normal((T, 2 * N)).astype(dtype)
+        b0 = (np.asfortranarray(wide[:, :N]) if layout == "fortran"
+              else wide[:, ::2])
+        r0 = rng.standard_normal((T, N)).astype(dtype)
+        windows.clear()
+        _, ga, _ = _banded_run(a0, b0, r0, k, True, False)
+        assert len(windows) == 1
+        _assert_band_of_product(ga, r0, b0, k)
 
 
 @pytest.mark.parametrize("T, k", [(_BAND_ROWS, 4), (2 * _BAND_ROWS - 1, 4),

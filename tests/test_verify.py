@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psn.errors import ContractError
+from psn import tensor
 from psn.neurons import parallel, vanilla
 from psn.tensor import Tensor
 from psn.verify import (SUITES, SuiteResult, run_suites, suite_conv_vs_matmul,
@@ -71,6 +72,23 @@ def test_grad_suite_passes_at_reduced_count():
     assert result.passed and result.failures == []
     # One case per checked parameter: at least every builder x instance.
     assert result.cases >= 9 * 4
+
+
+def test_grad_suite_catches_a_dropped_weight_gradient_diagonal(monkeypatch):
+    band_weight_grad = tensor._band_weight_grad
+    calls = []
+
+    def no_main_diagonal(g, b, k):
+        calls.append(k)
+        return np.tril(band_weight_grad(g, b, k), -1)
+
+    monkeypatch.setattr(tensor, "_band_weight_grad", no_main_diagonal)
+    result = suite_grad(instances=2)
+    # Every instance of both banded cases takes the sliding-window gradient.
+    assert len(calls) == 2 * 2
+    assert not result.passed
+    failed = {w.split(",")[0] for w in result.failures}
+    assert failed == {"(case=masked-psn-banded", "(case=spsn-banded"}
 
 
 def test_grad_harness_detects_a_wrong_gradient():
