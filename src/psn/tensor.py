@@ -139,10 +139,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0)
 
-    def detached(self):
-        """Same data, no grad, no tape history."""
-        return Tensor._make(self.data, False)
-
     def _accumulate_grad(self, contribution, owned=False):
         """Add ``contribution`` into ``.grad``.
 
@@ -332,7 +328,9 @@ def _chunked_dot(a, b):
 
     OpenBLAS runs a skinny product with a contraction of millions (dW of a
     PSN layer, (T, N) @ (N, T)) about 4x slower in one call than in 2^16-wide
-    pieces. Up to _CHUNK this is exactly ``a @ b``.
+    pieces. At small T that is its small-matrix threshold at work, as in
+    ``_product``: a (2, 2^16) @ (2^16, 2) piece stays under 100^3 and skips
+    packing. Up to _CHUNK this is exactly ``a @ b``.
     """
     k = a.shape[1]
     if k <= _CHUNK:
@@ -343,18 +341,56 @@ def _chunked_dot(a, b):
     return out
 
 
-# Output rows per GEMM of a banded matmul; the last GEMM takes the remainder
+# OpenBLAS multiplies without packing its operands while M*N*K <= 100^3.
+# Above that it packs them first, which costs about twice as much per output
+# column when the contraction is short (K ~ 10): a (2x5)@(5xC) product took
+# 1.4 ns per column at C=100000 and 3.0 ns at C=100001.
+_SMALL_GEMM = 100 ** 3
+# Longest contraction cut into pieces. Float64 pieces kept one call's bits
+# up to K=11 in every probe and lost them from K=12 in some (float32 ones
+# up to K=31), and a T=64 dense charge in pieces took twice as long.
+_PIECE_MAX_K = 11
+
+
+def _product(a, b, out=None):
+    """a @ b, into ``out`` if given, in column pieces when the contraction
+    is short.
+
+    With K <= _PIECE_MAX_K and M*K*N > _SMALL_GEMM the product is written as
+    ceil(M*K*N / _SMALL_GEMM) near-equal column pieces, each under OpenBLAS's
+    small-matrix threshold; every piece is at least two columns wide, as a
+    one-column piece goes to gemv and sums in another order. Any other
+    product is the single call ``np.matmul(a, b, out=out)``, which without
+    ``out`` is ``a @ b``.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    pieces = -(-m * k * n // _SMALL_GEMM)
+    if k > _PIECE_MAX_K or pieces < 2 or n < 2 * pieces:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    for i in range(pieces):
+        c0, c1 = i * n // pieces, (i + 1) * n // pieces
+        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+    return out
+
+
+# Output rows per GEMM of a banded matmul: 8 rows keep the contraction,
+# 7 + k, within _PIECE_MAX_K up to k = 4. The last GEMM takes the remainder
 # too, as a GEMM of a few rows runs other BLAS kernels than the dense call.
-# At T=16 one dense call was measured faster, so blocking starts at T=32.
-_BAND_ROWS = 16
+_BAND_ROWS = 8
+# Shortest T that is banded; at T=16 one dense call was measured faster.
+_BAND_MIN_T = 32
 
 
 def _band_product(a, b, k, transpose):
     """a @ b, or a.T @ b, for a square ``a`` that is zero outside its k lower
-    diagonals: one GEMM per _BAND_ROWS output rows, over only the rows of
-    ``b`` that meet the band there. Only exact zero products are skipped;
-    the bits match the dense product where BLAS sums both in one order,
-    which the tests pin at N=4096 (small N may differ in the last place).
+    diagonals: one product per _BAND_ROWS output rows, over only the rows of
+    ``b`` that meet the band there, each in column pieces by ``_product``.
+    Only exact zero products are skipped; the bits match the dense product
+    where BLAS sums both in one order, which the tests pin from N=4096 on
+    (small N may differ in the last place).
     """
     T = a.shape[0]
     out = np.empty((T, b.shape[1]), dtype=np.result_type(a, b))
@@ -362,10 +398,10 @@ def _band_product(a, b, k, transpose):
     for r0, r1 in zip(edges, edges[1:]):
         if transpose:
             c1 = min(T, r1 + k - 1)
-            np.matmul(a[r0:c1, r0:r1].T, b[r0:c1], out=out[r0:r1])
+            _product(a[r0:c1, r0:r1].T, b[r0:c1], out[r0:r1])
         else:
             c0 = max(0, r0 - k + 1)
-            np.matmul(a[r0:r1, c0:r1], b[c0:r1], out=out[r0:r1])
+            _product(a[r0:r1, c0:r1], b[c0:r1], out[r0:r1])
     return out
 
 
@@ -391,9 +427,13 @@ def _band_weight_grad(g, b, k):
 def matmul(a, b, band=None):
     """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N).
 
+    The forward and the gradient of ``b`` go through ``_product``, so at
+    small T they run in column pieces, with the bits of one call.
+
     ``band=k`` promises that ``a`` is square and zero outside its k lower
     diagonals (columns i-k+1..i of row i). For k < T and T >= 32 the forward
-    and the gradient of ``b`` then multiply only that band. If also
+    and the gradient of ``b`` then multiply only that band, in blocks of
+    _BAND_ROWS rows that are split into column pieces up to k = 4. If also
     4 k <= T, where it was measured faster than the dense product, the
     gradient of ``a`` is computed on the band alone and is +0.0 elsewhere,
     as callers read nothing else; otherwise it is the dense product.
@@ -403,8 +443,8 @@ def matmul(a, b, band=None):
         raise ShapeMismatchError(
             f"matmul needs (M,K) @ (K,N), got {ad.shape} @ {bd.shape}")
     T = ad.shape[0]
-    banded = band is not None and band < T and T >= 2 * _BAND_ROWS
-    out = _band_product(ad, bd, band, False) if banded else ad @ bd
+    banded = band is not None and band < T and T >= _BAND_MIN_T
+    out = _band_product(ad, bd, band, False) if banded else _product(ad, bd)
 
     def backward(gouts):
         g = gouts[0]
@@ -419,7 +459,7 @@ def matmul(a, b, band=None):
         elif banded:
             gb = _band_product(ad, g, band, True)
         else:
-            gb = _chunked_dot(ad.T, g)
+            gb = _product(ad.T, g)
         return ga, gb
 
     return taped_op((a, b), out, backward)

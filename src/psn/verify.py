@@ -141,9 +141,9 @@ def suite_psn_subsumption(t_values=range(1, 65), num_seeds=5, N=32):
     return _timed("psn-subsumption", body)
 
 
-# T=40 runs the forward charge as matmul's block-banded product (two row
-# blocks and a remainder), which the small grid never reaches; it is checked
-# at 3 orders. The banded gradients are the grad suite's "-banded" cases.
+# T=40 runs the forward charge as matmul's block-banded product (five row
+# blocks), which the small grid never reaches; it is checked at 3 orders.
+# The banded gradients are the grad suite's "-banded" cases.
 _BANDED_T, _BANDED_ORDERS = 40, (1, 4, 39)
 
 
@@ -209,6 +209,11 @@ def _conv_charge(kernel, x):
     return h
 
 
+# T=64 at orders 1 and 4 over 40001 columns runs the sliding charge's band
+# blocks in column pieces, which N=16 never reaches.
+_SPLIT_T, _SPLIT_ORDERS, _SPLIT_N = 64, (1, 4), 40001
+
+
 def suite_conv_vs_matmul(t_values=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
                          num_seeds=5, N=16):
     """The sliding charge against a slid kernel, and the banded matrix
@@ -217,28 +222,27 @@ def suite_conv_vs_matmul(t_values=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
     def body():
         cases = 0
         failures = []
-        for T in t_values:
-            for k in (1, 2, 4, 8, T):
-                for seed in range(num_seeds):
-                    rng = np.random.default_rng([227, T, k, seed])
-                    p = SlidingPSNParams(
-                        Tensor(rng.standard_normal(k)),
-                        Tensor(np.asarray(1.0)))
-                    a = spsn_build_A(p, T).data
-                    cases += 1
-                    if not np.array_equal(
-                            a, _toeplitz_oracle(p.kernel.data, T)):
-                        failures.append(f"(T={T}, k={k}, seed={seed}, "
-                                        f"A!=toeplitz)")
-                        continue
-                    x = rng.standard_normal((T, N))
-                    h = spsn_forward(Tensor(x), p).h.data
-                    cases += 1
-                    dh = float(np.abs(
-                        h - _conv_charge(p.kernel.data, x)).max())
-                    if dh > CONV_ATOL:
-                        failures.append(f"(T={T}, k={k}, seed={seed}, "
-                                        f"max|dH|={dh:.3g})")
+        grid = [(T, k, N) for T in t_values for k in (1, 2, 4, 8, T)]
+        grid += [(_SPLIT_T, k, _SPLIT_N) for k in _SPLIT_ORDERS]
+        for T, k, n in grid:
+            for seed in range(num_seeds):
+                rng = np.random.default_rng([227, T, k, seed])
+                p = SlidingPSNParams(
+                    Tensor(rng.standard_normal(k)),
+                    Tensor(np.asarray(1.0)))
+                a = spsn_build_A(p, T).data
+                cases += 1
+                if not np.array_equal(a, _toeplitz_oracle(p.kernel.data, T)):
+                    failures.append(f"(T={T}, k={k}, seed={seed}, "
+                                    f"A!=toeplitz)")
+                    continue
+                x = rng.standard_normal((T, n))
+                h = spsn_forward(Tensor(x), p).h.data
+                cases += 1
+                dh = float(np.abs(h - _conv_charge(p.kernel.data, x)).max())
+                if dh > CONV_ATOL:
+                    failures.append(f"(T={T}, k={k}, N={n}, seed={seed}, "
+                                    f"max|dH|={dh:.3g})")
         return cases, failures
 
     return _timed("conv-vs-matmul", body)

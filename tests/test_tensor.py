@@ -10,10 +10,11 @@ import pytest
 
 from psn.errors import ContractError, ShapeMismatchError
 from psn import tensor
-from psn.tensor import (_BAND_ROWS, _CHUNK, Tape, Tensor, _chunked_dot,
-                        _column_sum, active_tape, add, linear, matmul,
-                        mean_axis0, mul, no_tape, reshape, scalar_affine,
-                        split_rows, stack_rows, sum_all, taped_op, tracker)
+from psn.tensor import (_BAND_MIN_T, _BAND_ROWS, _CHUNK, Tape, Tensor,
+                        _chunked_dot, _column_sum, active_tape, add, linear,
+                        matmul, mean_axis0, mul, no_tape, reshape,
+                        scalar_affine, split_rows, stack_rows, sum_all,
+                        taped_op, tracker)
 from psn.training import loss_ce_mean, loss_tet
 
 
@@ -254,15 +255,14 @@ def _spy(monkeypatch, name):
 def test_banded_matmul_matches_the_dense_product(dtype, T, N, monkeypatch):
     """Output, ga and gb of matmul(band=k) against matmul(band=None).
 
-    From two row blocks on (T >= 32), the band multiplies fewer zeros in
-    several GEMMs. Above a few thousand columns OpenBLAS runs those and the
-    dense call through the same kernel, which sums in index order, so the
-    bits agree; at small N its gemv and small-matrix kernels sum in an order
-    that depends on the shape, so the two agree to within the product's
-    rounding bound, 2 T eps |a| |b|. Where 4 k <= T as well, ga is only the
-    band, summed by a sliding window in another order than the dense
-    product: it is checked against a float64 reference and must be +0.0
-    off the band. Elsewhere ga is the dense product's bytes.
+    From T >= 32 on, the band multiplies fewer zeros in several GEMMs.
+    Above a few thousand columns OpenBLAS sums those and the dense call in
+    index order, so the bits agree; at small N its gemv and small-matrix
+    kernels sum in an order that depends on the shape, so the two agree to
+    within the product's rounding bound, 2 T eps |a| |b|. Where 4 k <= T as
+    well, ga is only the band, summed by a sliding window in another order
+    than the dense product: it is checked against a float64 reference and
+    must be +0.0 off the band. Elsewhere ga is the dense product's bytes.
     """
     products = _spy(monkeypatch, "_band_product")
     windows = _spy(monkeypatch, "_band_weight_grad")
@@ -273,7 +273,7 @@ def test_banded_matmul_matches_the_dense_product(dtype, T, N, monkeypatch):
         a0 = np.tril(full) - np.tril(full, -k)
         b0 = rng.standard_normal((T, N)).astype(dtype)
         r0 = rng.standard_normal((T, N)).astype(dtype)
-        banded = T >= 2 * _BAND_ROWS and k < T
+        banded = T >= _BAND_MIN_T and k < T
         sliding = banded and 4 * k <= T
         exact = not banded or N >= 4096
         bound_f = 2 * T * eps * (np.abs(a0) @ np.abs(b0))
@@ -317,7 +317,7 @@ def test_banded_weight_gradient_reads_any_layout_of_b(dtype, layout,
         _assert_band_of_product(ga, r0, b0, k)
 
 
-@pytest.mark.parametrize("T, k", [(_BAND_ROWS, 4), (2 * _BAND_ROWS - 1, 4),
+@pytest.mark.parametrize("T, k", [(_BAND_MIN_T // 2, 4), (_BAND_MIN_T - 1, 4),
                                   (40, 40), (40, 41)])
 def test_short_or_full_bands_are_one_dense_call(T, k, monkeypatch):
     monkeypatch.setattr(tensor, "_band_product", None)  # a call would raise
@@ -330,6 +330,95 @@ def test_short_or_full_bands_are_one_dense_call(T, k, monkeypatch):
     assert out.data.tobytes() == (a.data @ b.data).tobytes()
     ones = np.ones((T, 3))
     assert b.grad.tobytes() == (a.data.T @ ones).tobytes()
+
+
+def _same_bits(got, want):
+    """Bitwise equality without copying large arrays out as bytes."""
+    view = np.dtype(f"u{want.itemsize}")
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(view), want.view(view)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_column_pieces_keep_the_bits_of_one_call(dtype, monkeypatch):
+    """The forward and the gradient of b, where their products run in column
+    pieces (the 8-row band blocks, K = 7 + k, and the dense charge at small
+    T), against the same products made in one call each. At an even N the
+    band blocks also give the dense product's bits; at N=40001 the dense
+    float64 call sums the last column in another order than the blocks, so
+    there only the one-call bits are checked."""
+    for T, k, N in [(T, k, N) for T in (64, 65) for k in (1, 2, 4)
+                    for N in (65536, 40001)] + [(2, None, (1 << 20) + 3),
+                                                 (4, None, (1 << 20) + 3),
+                                                 (11, None, (1 << 20) + 3)]:
+        rng = np.random.default_rng([T, N, k or 0])
+        a0 = rng.standard_normal((T, T)).astype(dtype)
+        if k is not None:
+            a0 = np.tril(a0) - np.tril(a0, -k)
+        b0 = rng.standard_normal((T, N)).astype(dtype)
+        r0 = rng.standard_normal((T, N)).astype(dtype)
+        out, _, gb = _banded_run(a0, b0, r0, k, False, True)
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_SMALL_GEMM", 1 << 62)
+            one_out, _, one_gb = _banded_run(a0, b0, r0, k, False, True)
+        assert _same_bits(out, one_out), (T, k, N)
+        assert _same_bits(gb, one_gb), (T, k, N)
+        if k is None or N % 2 == 0:
+            assert _same_bits(out, a0 @ b0), (T, k, N)
+            assert _same_bits(gb, a0.T @ r0), (T, k, N)
+
+
+class _CountingNumpy:
+    """numpy for psn.tensor, with each ``np.matmul`` call's output width
+    appended to the list of the ``_product`` call that made it."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        self._calls[-1][1].append(b.shape[1])
+        return np.matmul(a, b, out=out)
+
+
+@pytest.mark.parametrize("T, k, N, splits", [
+    (2, None, (1 << 20) + 3, True), (11, None, 1 << 17, True),
+    (64, 4, 65536, True), (65, 1, 40001, True),
+    (16, 4, 65536, False), (64, None, 65536, False),
+    (2, None, 100, False)])
+def test_short_contractions_split_into_even_pieces(T, k, N, splits,
+                                                   monkeypatch):
+    """A product with K <= 11 and M K N > 100^3 makes ceil(M K N / 100^3)
+    np.matmul calls over near-equal column pieces that cover the output;
+    any other product (K > 11, or small) makes one call. The forward and
+    the gradient of b each make one product, or one per band block."""
+    calls = []
+    real = tensor._product
+
+    def product(a, b, out=None):
+        calls.append((a.shape + b.shape[1:], []))
+        return real(a, b, out)
+
+    monkeypatch.setattr(tensor, "_product", product)
+    monkeypatch.setattr(tensor, "np", _CountingNumpy(calls))
+    rng = np.random.default_rng(T)
+    a0 = np.tril(rng.standard_normal((T, T)))
+    b0 = rng.standard_normal((T, N))
+    _banded_run(a0, b0, b0, k, False, True)
+    banded = k is not None and T >= _BAND_MIN_T
+    assert len(calls) == 2 * (T // _BAND_ROWS if banded else 1)
+    split = False
+    for (m, kk, n), widths in calls:
+        assert sum(widths) == n
+        if kk <= 11 and m * kk * n > 100 ** 3:
+            split = True
+            assert len(widths) == -(-m * kk * n // 100 ** 3)
+            assert 2 * min(widths) >= max(widths)
+        else:
+            assert len(widths) == 1
+    assert split == splits
 
 
 def _linear_by_composition(x, w, b):
@@ -670,12 +759,3 @@ def test_float64_scalars_infer_float64():
     with Tape() as tape:
         tape.backward(sum_all(scalar_affine(h, 3.0, 0.0)))
     assert h.data == 0.1 and h.grad.dtype == np.float64
-
-
-def test_detached_shares_data_but_never_grads():
-    x = Tensor(np.ones(3), requires_grad=True)
-    d = x.detached()
-    assert not d.requires_grad
-    with Tape() as tape:
-        tape.backward(sum_all(mul(d, x)))
-    np.testing.assert_array_equal(x.grad, np.ones(3))

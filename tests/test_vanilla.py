@@ -176,7 +176,7 @@ def test_relaxed_hard_reset_interpolates_fractional_spikes():
 @pytest.mark.parametrize("reset_mode", ["hard", "soft"])
 def test_detached_reset_gradient_matches_a_loop_oracle(kind, reset_mode):
     """detach_reset=True against a loop of generic ops that resets with
-    s.detached(), both on the relaxed float64 forward."""
+    Tensor(s.data), both on the relaxed float64 forward."""
     rng = np.random.default_rng([34, len(kind), len(reset_mode)])
     x0 = rng.standard_normal((7, 4)) * 1.5
     proj = Tensor(rng.standard_normal((7, 4)))
@@ -194,10 +194,10 @@ def test_detached_reset_gradient_matches_a_loop_oracle(kind, reset_mode):
             h = charge(x_t, v, p)
             s = heaviside_surrogate(h, p.v_th, relaxed=True)
             if reset_mode == "hard":  # h + s (v_reset - h)
-                v = add(h, mul(s.detached(),
+                v = add(h, mul(Tensor(s.data),
                                scalar_affine(h, -1.0, p.v_reset)))
             else:  # h - v_th s
-                v = add(h, scalar_affine(s.detached(), -p.v_th, 0.0))
+                v = add(h, scalar_affine(Tensor(s.data), -p.v_th, 0.0))
             spikes.append(s)
         return stack_rows(spikes)
 

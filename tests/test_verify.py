@@ -67,6 +67,28 @@ def test_conv_vs_matmul_catches_a_wrong_sliding_charge(monkeypatch):
     assert all("max|dH|" in w for w in result.failures)
 
 
+def test_conv_vs_matmul_catches_a_skipped_column_piece(monkeypatch):
+    product = tensor._product
+    calls = []
+
+    def skip_last_piece(a, b, out=None):
+        # The product as made, with the last of its column pieces left
+        # unwritten (zero here, so the mutation is the same on every run).
+        out = product(a, b, out)
+        m, k = a.shape
+        n = b.shape[1]
+        pieces = -(-m * k * n // tensor._SMALL_GEMM)
+        if k <= tensor._PIECE_MAX_K and pieces > 1:
+            calls.append(pieces)
+            out[:, (pieces - 1) * n // pieces:] = 0
+        return out
+
+    monkeypatch.setattr(tensor, "_product", skip_last_piece)
+    result = suite_conv_vs_matmul(t_values=(4, 64), num_seeds=2)
+    assert calls and not result.passed
+    assert all("N=40001" in w and "max|dH|" in w for w in result.failures)
+
+
 def test_grad_suite_passes_at_reduced_count():
     result = suite_grad(instances=4)
     assert result.passed and result.failures == []
