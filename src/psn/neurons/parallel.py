@@ -13,7 +13,11 @@ diagonals, so both hand ``matmul`` their band: from T=32 on, the forward
 and the input gradient run as a block-banded product that multiplies only
 that band, and for k <= T/4 the charge matrix's gradient is computed on the
 band alone (zero elsewhere), as it reaches W only through the mask and the
-kernel only through its diagonals.
+kernel only through its diagonals. From 32 steps over rows of a multiple
+of 4 KiB, 4 MiB in all (T=64, N=65536 in float32), the charge H and the
+input gradient are padded, non-contiguous views (``psn.tensor._padded``):
+their rows lie 64 bytes more than a row apart, and the product takes
+about 0.7x the time with the same bits.
 
 Initialization follows the reference recipe: dense weights from
 U(-sqrt(5), sqrt(5)), sliding weights 2^(i-k+1) (newest weight 1, halving

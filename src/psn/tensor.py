@@ -92,10 +92,12 @@ tracker = AllocationTracker()
 
 
 def _track_buffer(owner, arr):
-    # Views piggyback on their base buffer; only count owned memory.
-    if tracker.enabled and arr.base is None:
-        tracker.note_alloc(arr.nbytes)
-        weakref.finalize(owner, tracker.note_free, arr.nbytes, tracker.generation)
+    # Views piggyback on their base buffer; only count owned memory, which
+    # for a padded product output is its whole base buffer.
+    if tracker.enabled and (arr.base is None or _is_padded(arr)):
+        nbytes = _buffer_bytes(arr)
+        tracker.note_alloc(nbytes)
+        weakref.finalize(owner, tracker.note_free, nbytes, tracker.generation)
 
 
 class Tensor:
@@ -195,8 +197,9 @@ class Tape:
         ``loss`` must be a scalar tensor produced on this tape. Repeated calls
         accumulate again; there is no implicit zeroing. A leaf whose ``.grad``
         is None takes its first contribution as ``.grad`` when that array is
-        fresh and owned: not a view, not one of the op's output gradients and
-        not returned for two inputs of the op. Anything else is copied.
+        fresh and owned: not a view (a padded product output from
+        ``_padded`` excepted), not one of the op's output gradients and not
+        returned for two inputs of the op. Anything else is copied.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -235,7 +238,7 @@ class Tape:
                     continue
                 # Cheapest test first; the count only matters when the op
                 # returned more than one contribution.
-                shared = (c.base is not None
+                shared = (c.base is not None and not _is_padded(c)
                           or (c is gouts[0] if len(gouts) == 1
                               else any(c is g for g in gouts))
                           or several and sum(c is d for d in contribs) > 1)
@@ -247,8 +250,9 @@ class Tape:
                 if entry is None:
                     grads[nid] = [c, not shared]
                     if counting and not shared:
-                        tracker.note_alloc(c.nbytes)
-                        counted += c.nbytes
+                        nbytes = _buffer_bytes(c)
+                        tracker.note_alloc(nbytes)
+                        counted += nbytes
                 elif entry[1]:
                     entry[0] += c
                 else:
@@ -260,8 +264,9 @@ class Tape:
             if counting:
                 for entry in popped:
                     if entry is not None and entry[1]:
-                        tracker.note_free(entry[0].nbytes, tracker.generation)
-                        counted -= entry[0].nbytes
+                        nbytes = _buffer_bytes(entry[0])
+                        tracker.note_free(nbytes, tracker.generation)
+                        counted -= nbytes
         if counting and counted:
             # Whatever is left (unreachable contributions) is dropped here.
             tracker.note_free(counted, tracker.generation)
@@ -319,28 +324,10 @@ def taped_op(inputs, out_data, backward):
 # Ops
 
 
-# Longest contraction one GEMM call gets in a matmul backward.
+# Longest contraction one GEMM call gets: OpenBLAS ran dW of a PSN layer,
+# (T, N) @ (N, T) with N in the millions, about 4x slower in one call than
+# in 2^16-wide slices, whose (2, 2^16) @ (2^16, 2) stays under 100^3 at T=2.
 _CHUNK = 1 << 16
-
-
-def _chunked_dot(a, b):
-    """a @ b, summed over _CHUNK-wide slices of a long contraction axis.
-
-    OpenBLAS runs a skinny product with a contraction of millions (dW of a
-    PSN layer, (T, N) @ (N, T)) about 4x slower in one call than in 2^16-wide
-    pieces. At small T that is its small-matrix threshold at work, as in
-    ``_product``: a (2, 2^16) @ (2^16, 2) piece stays under 100^3 and skips
-    packing. Up to _CHUNK this is exactly ``a @ b``.
-    """
-    k = a.shape[1]
-    if k <= _CHUNK:
-        return a @ b
-    out = a[:, :_CHUNK] @ b[:_CHUNK]
-    for start in range(_CHUNK, k, _CHUNK):
-        out += a[:, start:start + _CHUNK] @ b[start:start + _CHUNK]
-    return out
-
-
 # OpenBLAS multiplies without packing its operands while M*N*K <= 100^3.
 # Above that it packs them first, which costs about twice as much per output
 # column when the contraction is short (K ~ 10): a (2x5)@(5xC) product took
@@ -350,21 +337,84 @@ _SMALL_GEMM = 100 ** 3
 # up to K=11 in every probe and lost them from K=12 in some (float32 ones
 # up to K=31), and a T=64 dense charge in pieces took twice as long.
 _PIECE_MAX_K = 11
+# _padded's gate: 32 rows, each a multiple of 4 KiB, 4 MiB in all. Padded,
+# the T=16, N=2048 layer's forward ran 2-42% slower.
+_PAD_MIN_ROWS = 32
+_PAD_MIN_BYTES = 4 << 20
+# One cache line: the alignment of a padded output and its row padding.
+_PAD = 64
+
+# id -> weak reference of each view _padded handed out, while it lives.
+_padded_views = {}
 
 
-def _product(a, b, out=None):
-    """a @ b, into ``out`` if given, in column pieces when the contraction
-    is short.
+def _padded(m, n, dtype):
+    """An uninitialised (m, n) product output with padded rows, or None
+    below the gate (>= 32 rows, each a multiple of 4 KiB, 4 MiB in all).
 
-    With K <= _PIECE_MAX_K and M*K*N > _SMALL_GEMM the product is written as
-    ceil(M*K*N / _SMALL_GEMM) near-equal column pieces, each under OpenBLAS's
-    small-matrix threshold; every piece is at least two columns wide, as a
-    one-column piece goes to gemv and sums in another order. Any other
-    product is the single call ``np.matmul(a, b, out=out)``, which without
-    ``out`` is ``a @ b``.
+    The view is 64-byte aligned and its rows lie a row plus 64 bytes apart,
+    so it is not contiguous. At a power-of-two row length (256 KiB at
+    N=65536) the output rows OpenBLAS writes together share cache sets;
+    padded, a (64, 64) @ (64, 65536) product took about 0.7x the time, with
+    the same bits. The view owns its base buffer: ``_track_buffer`` counts
+    that buffer, and ``Tape.backward`` may keep the view as a gradient.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    row = n * itemsize
+    if m < _PAD_MIN_ROWS or row % 4096 or m * row < _PAD_MIN_BYTES:
+        return None
+    stride = row + _PAD
+    raw = np.empty(m * stride, np.uint8)
+    view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
+                      (stride, itemsize))
+    key = id(view)
+    _padded_views[key] = weakref.ref(
+        view, lambda _, key=key: _padded_views.pop(key, None))
+    return view
+
+
+def _is_padded(arr):
+    """Whether ``arr`` is a view _padded handed out (not a view of one)."""
+    ref = _padded_views.get(id(arr))
+    return ref is not None and ref() is arr
+
+
+def _buffer_bytes(arr):
+    """Bytes of an owning array's buffer: its own, or its padded base's."""
+    return arr.nbytes if arr.base is None else arr.base.nbytes
+
+
+def _product(a, b, out=None, plain=False):
+    """a @ b, into ``out`` if given: the one door to BLAS.
+
+    - A contraction longer than _CHUNK is summed over _CHUNK-wide slices.
+    - Unless ``plain``, an output not given comes from ``_padded``: from 32
+      rows, each a multiple of 4 KiB, and 4 MiB in all, it is a
+      64-byte-aligned, non-contiguous view with rows 64 bytes more than a
+      row apart.
+    - Unless ``plain``, a product with K <= _PIECE_MAX_K and M*K*N >
+      _SMALL_GEMM is written as ceil(M*K*N / _SMALL_GEMM) near-equal column
+      pieces, each under OpenBLAS's small-matrix threshold; every piece is
+      at least two columns wide, as a one-column piece goes to gemv and sums
+      in another order.
+
+    Any other product is the single call ``np.matmul(a, b, out=out)``,
+    which without ``out`` is ``a @ b``. ``linear``, whose outputs are
+    reshaped across rows, and the charge matrix's gradient are ``plain``.
     """
     m, k = a.shape
     n = b.shape[1]
+    if k > _CHUNK:
+        out = np.matmul(a[:, :_CHUNK], b[:_CHUNK], out=out)
+        for start in range(_CHUNK, k, _CHUNK):
+            out += a[:, start:start + _CHUNK] @ b[start:start + _CHUNK]
+        return out
+    if plain:
+        return np.matmul(a, b, out=out)
+    # The row count first: it keeps the T=16 and T=2 products off the
+    # gate's dtype lookups.
+    if out is None and m >= _PAD_MIN_ROWS:
+        out = _padded(m, n, np.result_type(a, b))
     pieces = -(-m * k * n // _SMALL_GEMM)
     if k > _PIECE_MAX_K or pieces < 2 or n < 2 * pieces:
         return np.matmul(a, b, out=out)
@@ -390,10 +440,14 @@ def _band_product(a, b, k, transpose):
     ``b`` that meet the band there, each in column pieces by ``_product``.
     Only exact zero products are skipped; the bits match the dense product
     where BLAS sums both in one order, which the tests pin from N=4096 on
-    (small N may differ in the last place).
+    (small N may differ in the last place). The output comes from
+    ``_padded`` above its gate, as the dense product's does.
     """
     T = a.shape[0]
-    out = np.empty((T, b.shape[1]), dtype=np.result_type(a, b))
+    dtype = np.result_type(a, b)
+    out = _padded(T, b.shape[1], dtype)
+    if out is None:
+        out = np.empty((T, b.shape[1]), dtype=dtype)
     edges = [*range(0, T - _BAND_ROWS + 1, _BAND_ROWS), T]
     for r0, r1 in zip(edges, edges[1:]):
         if transpose:
@@ -427,8 +481,13 @@ def _band_weight_grad(g, b, k):
 def matmul(a, b, band=None):
     """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N).
 
-    The forward and the gradient of ``b`` go through ``_product``, so at
-    small T they run in column pieces, with the bits of one call.
+    The forward and the gradient of ``b`` go through ``_product`` or
+    ``_band_product``, so at small T they run in column pieces, with the
+    bits of one call. From 32 rows, each a multiple of 4 KiB long, and
+    4 MiB in all (the T=64, N=65536 float32 charge), both are padded:
+    64-byte-aligned, non-contiguous views whose rows lie 64 bytes more
+    than a row apart, with the contiguous product's bits. The gradient of
+    ``a`` is a plain product, as it is small.
 
     ``band=k`` promises that ``a`` is square and zero outside its k lower
     diagonals (columns i-k+1..i of row i). For k < T and T >= 32 the forward
@@ -453,7 +512,7 @@ def matmul(a, b, band=None):
         elif banded and 4 * band <= T:
             ga = _band_weight_grad(g, bd, band)
         else:
-            ga = _chunked_dot(g, bd.T)
+            ga = _product(g, bd.T, plain=True)
         if not b.requires_grad:
             gb = None
         elif banded:
@@ -480,14 +539,14 @@ def linear(x, w, b):
             f"{wd.shape} + {bd.shape}")
     flat = xd.reshape(-1, wd.shape[0])
     out = np.empty(xd.shape[:-1] + bd.shape, dtype=np.result_type(xd, wd))
-    np.matmul(flat, wd, out=out.reshape(flat.shape[0], wd.shape[1]))
+    _product(flat, wd, out.reshape(flat.shape[0], wd.shape[1]), plain=True)
     out += bd
 
     def backward(gouts):
         g = gouts[0].reshape(-1, wd.shape[1])
-        gx = (_chunked_dot(g, wd.T).reshape(xd.shape) if x.requires_grad
-              else None)
-        gw = _chunked_dot(flat.T, g) if w.requires_grad else None
+        gx = (_product(g, wd.T, plain=True).reshape(xd.shape)
+              if x.requires_grad else None)
+        gw = _product(flat.T, g, plain=True) if w.requires_grad else None
         gb = _column_sum(g) if b.requires_grad else None
         return gx, gw, gb
 
@@ -588,9 +647,15 @@ def reshape(a, shape):
 
 
 def sum_all(a):
-    """Sum of all elements; the usual scalar loss terminal."""
-    out = a.data.sum()
-    shape = a.data.shape
+    """Sum of all elements; the usual scalar loss terminal.
+
+    numpy sums a C-contiguous array pairwise over all of it, but a padded
+    product output row by row, so any other layout is summed from a
+    contiguous copy, which gives the contiguous array's bits.
+    """
+    d = a.data
+    out = (d if d.flags.c_contiguous else d.copy()).sum()
+    shape = d.shape
 
     def backward(gouts):
         return (np.broadcast_to(gouts[0], shape),)

@@ -48,9 +48,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ContractError(
-                f"learning rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ContractError(f"learning rate must be finite and > 0, "
+                                f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ContractError(
                 f"batch size must be >= 1, got {self.batch_size}")

@@ -276,6 +276,33 @@ def test_train_rejects_bad_config_before_writing_a_manifest(
         assert not (out_dir / "manifest.json").exists(), argv
 
 
+def _assert_rejected_before_training(argv, out_dir, capsys, wanted):
+    assert _run(["train", "--epochs", "1", "--classes", "2",
+                 "--samples-per-class", "8", *argv,
+                 "--out-dir", str(out_dir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and wanted in err, err
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_train_negative_seed_exits_2(tmp_path, capsys):
+    _assert_rejected_before_training(["--seed", "-1"], tmp_path / "run",
+                                     capsys, "seed must be >= 0")
+
+
+def test_train_replay_of_a_negative_seed_exits_2(train_run, tmp_path,
+                                                  capsys):
+    run = _mistyped_run(train_run, tmp_path, 0, "config.seed", -1)
+    _assert_rejected_before_training(
+        ["--from-manifest", str(run / "manifest.json")], tmp_path / "rerun",
+        capsys, "seed must be >= 0")
+
+
+def test_train_infinite_learning_rate_exits_2(tmp_path, capsys):
+    _assert_rejected_before_training(["--lr", "inf"], tmp_path / "run",
+                                     capsys, "learning rate must be finite")
+
+
 def test_train_too_large_to_allocate_exits_2(tmp_path, capsys):
     # 16 x 1e14 float64 weights: numpy refuses the 11 PiB at once.
     out_dir = tmp_path / "huge"

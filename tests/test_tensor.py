@@ -11,10 +11,11 @@ import pytest
 from psn.errors import ContractError, ShapeMismatchError
 from psn import tensor
 from psn.tensor import (_BAND_MIN_T, _BAND_ROWS, _CHUNK, Tape, Tensor,
-                        _chunked_dot, _column_sum, active_tape, add, linear,
+                        _column_sum, _product, active_tape, add, linear,
                         matmul, mean_axis0, mul, no_tape, reshape,
                         scalar_affine, split_rows, stack_rows, sum_all,
                         taped_op, tracker)
+from psn.neurons import KINDS, ORDER_KINDS, make
 from psn.training import loss_ce_mean, loss_tet
 
 
@@ -188,8 +189,8 @@ def test_long_contraction_is_chunked_and_matches_the_plain_product(dtype,
     rng = np.random.default_rng(6)
     a = rng.standard_normal((2, k)).astype(dtype)
     b = rng.standard_normal((k, 3)).astype(dtype)
-    np.testing.assert_allclose(_chunked_dot(a, b), a @ b, rtol=rtol,
-                               atol=rtol * np.abs(a @ b).max())
+    np.testing.assert_allclose(_product(a, b, plain=True), a @ b,
+                               rtol=rtol, atol=rtol * np.abs(a @ b).max())
 
 
 @pytest.mark.parametrize("k", [1, 7, _CHUNK])
@@ -197,8 +198,8 @@ def test_short_contraction_is_the_plain_product_bit_for_bit(k):
     rng = np.random.default_rng(k)
     a = rng.standard_normal((3, k), dtype=np.float32)
     b = rng.standard_normal((k, 2), dtype=np.float32)
-    assert np.array_equal(_chunked_dot(a, b), a @ b)
-    assert np.array_equal(_chunked_dot(b.T, a.T), b.T @ a.T)
+    assert np.array_equal(_product(a, b, plain=True), a @ b)
+    assert np.array_equal(_product(b.T, a.T, plain=True), b.T @ a.T)
 
     w = Tensor(rng.standard_normal((2, 3), dtype=np.float32),
                requires_grad=True)
@@ -759,3 +760,149 @@ def test_float64_scalars_infer_float64():
     with Tape() as tape:
         tape.backward(sum_all(scalar_affine(h, 3.0, 0.0)))
     assert h.data == 0.1 and h.grad.dtype == np.float64
+
+
+# ------------------------------------------------------------ padded outputs
+
+# A float32 charge that _padded pads: 64 rows of 64 KiB, 4 MiB in all.
+_PADDED_T, _PADDED_N = 64, 1 << 14
+
+
+@pytest.mark.parametrize("band", [None, 4])
+def test_padded_products_give_the_contiguous_bytes(band, monkeypatch):
+    """Above the gate the forward and the gradient of b are 64-byte-aligned
+    views with rows a row plus 64 bytes apart, holding the bytes of the
+    contiguous products; b keeps its padded gradient as .grad, uncopied."""
+    T, N = _PADDED_T, _PADDED_N
+    rng = np.random.default_rng([T, N, band or 0])
+    a0 = rng.standard_normal((T, T), dtype=np.float32)
+    if band is not None:
+        a0 = np.tril(a0) - np.tril(a0, -band)
+    b0 = rng.standard_normal((T, N), dtype=np.float32)
+    r0 = rng.standard_normal((T, N), dtype=np.float32)
+    got = _banded_run(a0, b0, r0, band, True, True)
+    for arr in (got[0], got[2]):
+        assert tensor._is_padded(arr)
+        assert arr.ctypes.data % 64 == 0 and arr.strides == (4 * N + 64, 4)
+    monkeypatch.setattr(tensor, "_padded", lambda m, n, dtype: None)
+    want = _banded_run(a0, b0, r0, band, True, True)
+    for g, w in zip(got, want):
+        assert w.flags.c_contiguous and _same_bits(g, w)
+    if band is None:
+        assert _same_bits(got[0], a0 @ b0) and _same_bits(got[2], a0.T @ r0)
+
+
+def test_small_outputs_are_not_padded():
+    """Below the gate (fewer than 32 rows, a row not a multiple of 4 KiB, or
+    under 4 MiB) the product is the contiguous single call."""
+    for T, N in ((_PADDED_T // 4, 4 * _PADDED_N), (_PADDED_T, _PADDED_N + 8),
+                 (_PADDED_T, _PADDED_N // 2)):
+        out = matmul(Tensor(np.ones((T, T), dtype=np.float32)),
+                     Tensor(np.ones((T, N), dtype=np.float32)))
+        assert out.data.flags.c_contiguous, (T, N)
+
+
+def _padded_copy(arr):
+    """arr's values in a view whose leading-axis rows lie 64 bytes more than
+    a row apart."""
+    rows = arr.reshape(arr.shape[0], -1)
+    pad = 64 // arr.itemsize
+    view = np.empty((rows.shape[0], rows.shape[1] + pad), arr.dtype)
+    view = view[:, :rows.shape[1]]
+    view[...] = rows
+    return view.reshape(arr.shape)
+
+
+def _layout_cases():
+    """Name -> (input arrays, build(*tensors) -> output tensor): every taped
+    op, and every neuron kind with its learnable tensors as inputs."""
+    T, N = 40, 2048
+    rng = np.random.default_rng(40)
+
+    def arr(*shape):
+        return rng.standard_normal(shape, dtype=np.float32)
+
+    banded = np.tril(arr(T, T)) - np.tril(arr(T, T), -4)
+    labels = rng.integers(0, 4, size=64)
+    cases = {
+        "matmul": ((arr(T, T), arr(T, N)), matmul),
+        "matmul-banded": ((banded, arr(T, N)),
+                          lambda a, b: matmul(a, b, band=4)),
+        "linear": ((arr(T, 64, 32), arr(32, 16), arr(16)), linear),
+        "add": ((arr(T, N), arr(T, N)), add),
+        "add-trailing": ((arr(T, N), arr(N)), add),
+        "mul": ((arr(T, N), arr(T, N)), mul),
+        "mul-trailing": ((arr(T, N), arr(N)), mul),
+        "scalar_affine": ((arr(T, N),),
+                          lambda a: scalar_affine(a, 0.5, 0.25)),
+        "reshape": ((arr(T, N),), lambda a: reshape(a, (T, 64, 32))),
+        "sum_all": ((arr(T, N),), sum_all),
+        "mean_axis0": ((arr(T, N),), mean_axis0),
+        "split-stack": ((arr(T, N),), lambda a: stack_rows(split_rows(a))),
+        "ce_mean": ((arr(T, 64, 4),), lambda o: loss_ce_mean(o, labels)),
+        "tet": ((arr(T, 64, 4),), lambda o: loss_tet(o, labels)),
+    }
+    for kind in KINDS:
+        opts = {"order": 4} if kind in ORDER_KINDS else {}
+        p = make(kind, T, np.random.default_rng(41), opts)
+
+        def build(x, *params, p=p):
+            for name, t in zip(p.names, params):
+                setattr(p, name, t)
+            return p.forward(x).s
+
+        cases[kind] = ((arr(T, N), *(getattr(p, n).data for n in p.names)),
+                       build)
+    return cases
+
+
+def _layout_run(build, arrays):
+    """Output and input gradients of sum(build(*inputs) * r), r seeded."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*tensors)
+        r = np.random.default_rng(out.data.size).standard_normal(
+            out.data.shape).astype(out.data.dtype)
+        tape.backward(sum_all(mul(out, Tensor(r))))
+    return [out.data] + [t.grad for t in tensors]
+
+
+def test_padded_view_inputs_keep_every_ops_bits():
+    """Every taped op and all seven neuron kinds give the same bytes, output
+    and every gradient, when one of their inputs of two or more axes is a
+    view with padded rows, as _padded hands out."""
+    cases = _layout_cases()
+    assert set(KINDS) <= set(cases) and len(KINDS) == 7
+    for name, (arrays, build) in cases.items():
+        want = _layout_run(build, arrays)
+        for i, a in enumerate(arrays):
+            if a.ndim < 2:
+                continue
+            swapped = list(arrays)
+            swapped[i] = _padded_copy(a)
+            got = _layout_run(build, swapped)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (name, i)
+
+
+def test_tracker_counts_a_padded_output_by_its_base_buffer():
+    T, N = _PADDED_T, _PADDED_N
+    w = Tensor(np.ones((T, T), dtype=np.float32))
+    x = Tensor(np.ones((T, N), dtype=np.float32), requires_grad=True)
+    base_bytes = T * (4 * N + 64)
+    tracker.start()
+    try:
+        out = matmul(w, x)
+        assert tensor._is_padded(out.data) and out.data.nbytes < base_bytes
+        assert tracker.live_bytes == out.data.base.nbytes == base_bytes
+        del out
+        assert tracker.live_bytes == 0
+        # A padded gradient kept as .grad counts by its base buffer too.
+        with Tape() as tape:
+            loss = sum_all(matmul(w, x))
+            before = tracker.live_bytes
+            tape.backward(loss)
+        assert tensor._is_padded(x.grad)
+        assert tracker.live_bytes - before == base_bytes
+    finally:
+        tracker.stop()

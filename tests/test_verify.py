@@ -39,7 +39,29 @@ def test_serial_parallel_catches_combine_fault(monkeypatch):
 
 def test_subsumption_suite_passes():
     result = suite_psn_subsumption(t_values=range(1, 17), num_seeds=2)
-    assert result.passed and result.cases == 16 * 2 * 2
+    # 16 T values plus the padded T=64, N=8192 case, two kinds, two seeds.
+    assert result.passed and result.cases == 17 * 2 * 2
+
+
+def test_subsumption_suite_catches_overlapping_padded_rows(monkeypatch):
+    padded = tensor._padded
+    calls = []
+
+    def overlapping(m, n, dtype):
+        # The padded output with rows 64 bytes short of a row apart: each
+        # row's tail and the next row's head share memory.
+        view = padded(m, n, dtype)
+        if view is None:
+            return None
+        calls.append((m, n))
+        row = view.strides[1] * n
+        return np.lib.stride_tricks.as_strided(
+            view, strides=(row - 64, view.strides[1]))
+
+    monkeypatch.setattr(tensor, "_padded", overlapping)
+    result = suite_psn_subsumption(t_values=(4,), num_seeds=1)
+    assert calls == [(64, 8192)] * 2 and not result.passed
+    assert all("T=64, N=8192" in w for w in result.failures)
 
 
 def test_mask_causality_passes_and_counts():
