@@ -28,13 +28,17 @@ from __future__ import annotations
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import ContractError, ParseError
+from .errors import ContractError, DivergenceError, ParseError
 
 _MAGIC = b"PSNCKPT v1\n"
 
 
 def save_checkpoint(path, arrays):
-    """Write ``arrays`` (dict name -> ndarray, float32) atomically to ``path``."""
+    """Write ``arrays`` (dict name -> ndarray, float32) atomically to ``path``.
+
+    A non-finite entry raises ``DivergenceError`` naming it; nothing is
+    written then.
+    """
     entries = []
     offset = 0
     for name, arr in arrays.items():
@@ -46,6 +50,9 @@ def save_checkpoint(path, arrays):
         if a.dtype != np.float32:
             raise ContractError(
                 f"checkpoint entry {name!r} must be float32, got {a.dtype}")
+        if not np.isfinite(a).all():
+            raise DivergenceError(name, f"refusing to save {name!r}: it "
+                                        f"holds non-finite values")
         entries.append((name, a, offset))
         offset += a.nbytes
 

@@ -160,8 +160,9 @@ def build_parser():
 
     t = sub.add_parser("train", help="train a sequence classifier")
     t.add_argument("--neuron", choices=_NEURON_CHOICES, default="psn")
-    t.add_argument("--order", type=int, default=2,
-                   help="history window for masked-psn / spsn")
+    t.add_argument("--order", type=int, default=None,
+                   help="history window for masked-psn / spsn (default "
+                        "2); an error for any other kind")
     t.add_argument("--epochs", type=int, default=50)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--data", default="toy",
@@ -343,6 +344,9 @@ def _read_train_manifest(path):
             raise ContractError(
                 f"{path}: config.{key} must be {_TYPE_NAMES[kind]}, got "
                 f"{config[key]!r}")
+    if config["seed"] < 0:
+        raise ContractError(f"{path}: config.seed must be >= 0, got "
+                            f"{config['seed']}")
     # cmd_train maps these two through dicts; the library checks the rest.
     for key, choices in (("loss", _LOSS_CHOICES),
                          ("optimizer", _OPTIMIZER_CHOICES)):
@@ -363,12 +367,20 @@ def _read_train_manifest(path):
 
 
 def _train_config_from_args(args):
+    from .errors import ContractError
+    from .neurons import ORDER_KINDS
+
     if args.from_manifest:
         source, _ = _read_train_manifest(args.from_manifest)
         config = {key: source[key] for key in _TRAIN_CONFIG_KEYS}
         out_dir = args.out_dir or source["out_dir"] + "-rerun"
     else:
         config = {key: getattr(args, key) for key in _TRAIN_CONFIG_KEYS}
+        if config["order"] is None:
+            config["order"] = 2
+        elif args.neuron not in ORDER_KINDS:
+            raise ContractError(f"--order applies only to "
+                                f"{'/'.join(ORDER_KINDS)}, not {args.neuron}")
         out_dir = args.out_dir or os.path.join(
             "runs", f"train-{args.neuron}-s{args.seed}")
     config["out_dir"] = out_dir
@@ -407,12 +419,11 @@ def cmd_train(args):
 
     try:
         history = train(model, train_batch, test_batch, cfg)
+        save_checkpoint(ckpt_path, model.state_dict())
     except DivergenceError as err:
         manifest.finish({"error": str(err)})
         raise
-
     history.write(history_path)
-    save_checkpoint(ckpt_path, model.state_dict())
 
     def last(split, metric):
         series = history.series(split, metric)

@@ -50,6 +50,15 @@ def _sigma_into(x, scale=1.0):
     return x
 
 
+def _sigma_times(x, g):
+    """sigma(x) * g computed in place; x is consumed. A ``g`` that is one
+    scalar broadcast everywhere, as sum_all hands back, scales sigma's
+    numerator instead of taking a pass of its own."""
+    if g.size and not any(g.strides):
+        return _sigma_into(x, g.flat[0])
+    return np.multiply(_sigma_into(x), g, out=x)
+
+
 def heaviside_surrogate(h, threshold, *, relaxed=False):
     """Spike tensor Theta(h - threshold), surrogate gradient on the way back.
 
@@ -86,13 +95,7 @@ def heaviside_surrogate(h, threshold, *, relaxed=False):
         g = gouts[0]
         # asarray: on a 0-d charge the difference is a numpy scalar, which
         # _sigma_into could not write into.
-        x = np.asarray(hd - thb)
-        if g.size and not any(g.strides):
-            # One scalar broadcast everywhere, as sum_all hands back.
-            dh = _sigma_into(x, g.flat[0])
-        else:
-            dh = _sigma_into(x)
-            np.multiply(dh, g, out=dh)
+        dh = _sigma_times(np.asarray(hd - thb), g)
         if th is None or not th.requires_grad:
             return (dh,) if th is None else (dh, None)
         if mode == "scalar":

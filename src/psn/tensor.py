@@ -306,17 +306,27 @@ def taped_op(inputs, out_data, backward):
     for inputs that need none). This is the extension point every
     neuron/loss primitive goes through. Only when an input requires grad is
     the active tape looked up; the record is one ``(inputs, out_ids,
-    backward)`` tuple.
+    backward)`` tuple. A tuple of arrays as ``out_data`` gives a tuple of
+    tensors under one record, whose ``backward`` receives one gradient per
+    output, None for an output that got none.
     """
+    several = type(out_data) is tuple
     for t in inputs:
         if t.requires_grad:
             break
     else:
+        if several:
+            return tuple([Tensor._make(d, False) for d in out_data])
         return Tensor._make(out_data, False)
-    out = Tensor._make(out_data, True)
+    if several:
+        out = tuple([Tensor._make(d, True) for d in out_data])
+        out_ids = tuple([t.node_id for t in out])
+    else:
+        out = Tensor._make(out_data, True)
+        out_ids = (out.node_id,)
     stack = _tls.stack
     if stack:
-        stack[-1]._records.append((inputs, (out.node_id,), backward))
+        stack[-1]._records.append((inputs, out_ids, backward))
     return out
 
 
@@ -686,7 +696,6 @@ def split_rows(a):
     """
     if a.data.ndim < 1:
         raise ShapeMismatchError("split_rows needs at least one axis")
-    rows = [a.data[t] for t in range(a.data.shape[0])]
     shape = a.data.shape
     dtype = a.data.dtype
 
@@ -696,13 +705,7 @@ def split_rows(a):
             full[t] = 0 if g is None else g
         return (full,)
 
-    rg = a.requires_grad
-    outs = [Tensor._make(r, rg) for r in rows]
-    stack = _tls.stack
-    if rg and stack:
-        stack[-1]._records.append(
-            ((a,), tuple(t.node_id for t in outs), backward))
-    return outs
+    return taped_op((a,), tuple(a.data), backward)
 
 
 def stack_rows(rows):

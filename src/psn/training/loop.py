@@ -86,16 +86,6 @@ class History:
     def to_text(self):
         return "\n".join(self.lines()) + "\n"
 
-    @classmethod
-    def from_text(cls, text):
-        records = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            e, s, m, v = line.split("\t")
-            records.append((int(e), s, m, float(v)))
-        return cls(records)
-
     def write(self, path):
         write_atomic(path, self.to_text())
 

@@ -298,6 +298,46 @@ def test_train_replay_of_a_negative_seed_exits_2(train_run, tmp_path,
         capsys, "seed must be >= 0")
 
 
+def test_eval_of_a_negative_seed_exits_2(train_run, tmp_path, capsys):
+    run = _mistyped_run(train_run, tmp_path, 0, "config.seed", -1)
+    assert _run(["eval", str(run)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config.seed must be >= 0" in err
+    assert not (run / "eval-manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_refuses_to_save_non_finite_parameters(tmp_path, capsys):
+    # One batch per epoch, so the loss is computed before the only update,
+    # and a rate of 1e308 takes the float32 weights past the largest float.
+    out_dir = tmp_path / "overflowed"
+    code = _run(["train", "--epochs", "1", "--classes", "2",
+                 "--samples-per-class", "8", "--batch-size", "64",
+                 "--lr", "1e308", "--out-dir", str(out_dir)])
+    assert code == EXIT_DIVERGENCE
+    assert "refusing to save 'layer0.weight'" in capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == ["manifest.json"]
+    manifest = _read_json(out_dir / "manifest.json")
+    assert "layer0.weight" in manifest["results"]["error"]
+
+
+def test_train_order_on_a_kind_without_one_exits_2(tmp_path, capsys):
+    for kind in ("psn", "lif", "lif-no-reset"):
+        _assert_rejected_before_training(
+            ["--neuron", kind, "--order", "2"], tmp_path / kind, capsys,
+            "--order applies only to masked-psn/spsn")
+
+
+def test_train_without_order_records_the_default(tmp_path):
+    # Manifests keep carrying order 2 for every kind, as before --order
+    # was rejected for kinds without one, so replay reads them unchanged.
+    out_dir = tmp_path / "lif"
+    assert _run(["train", "--neuron", "lif", "--epochs", "1",
+                 "--classes", "2", "--samples-per-class", "4",
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    assert _read_json(out_dir / "manifest.json")["config"]["order"] == 2
+
+
 def test_train_infinite_learning_rate_exits_2(tmp_path, capsys):
     _assert_rejected_before_training(["--lr", "inf"], tmp_path / "run",
                                      capsys, "learning rate must be finite")

@@ -1,15 +1,16 @@
 """The reset-free charge kernel of ``parallel_no_reset`` against serial oracles.
 
-``_recurrence`` computes h[t] = decay * h[t-1] + scale * x[t]; IF is the
+``_charge_fire`` computes h[t] = decay * h[t-1] + scale * x[t]; IF is the
 (1, 1) case (a prefix sum) and LIF the (1 - 1/tau_m, 1/tau_m) case.
 """
 
 import numpy as np
 import pytest
 
-from psn.neurons import VanillaNeuronParams, parallel_no_reset
-from psn.neurons.vanilla import _recurrence
-from psn.tensor import Tape, Tensor, mul, sum_all
+from psn.neurons import (VanillaNeuronParams, heaviside_surrogate,
+                         parallel_no_reset)
+from psn.neurons.vanilla import _block_rows, _charge_fire
+from psn.tensor import Tape, Tensor, add, mul, sum_all, taped_op
 
 
 def _serial_recurrence(x, decay, scale):
@@ -21,6 +22,10 @@ def _serial_recurrence(x, decay, scale):
         v = decay * v + scale * x[t]
         out[t] = v
     return out
+
+
+def _recurrence(x, decay, scale):
+    return _charge_fire(x, decay, scale, 1.0)[0]
 
 
 def _prefix_sum(x):
@@ -102,3 +107,87 @@ def test_linrec_backward_matches_fd():
             fm = (_serial_recurrence(xm, decay, scale) * proj).sum()
             fd[i] = (fp - fm) / (2 * eps)
         np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-9)
+
+
+def _two_op_charge_fire(x, p, relaxed):
+    """The reset-free layer composed of two taped ops, as it was before the
+    fused op: the whole recurrence, then the generic surrogate firing op."""
+    decay, scale = (1.0, 1.0) if p.kind == "if" else (1 - 1 / p.tau_m,
+                                                      1 / p.tau_m)
+
+    def recurrence(a, reverse=False):
+        h = np.multiply(a, a.dtype.type(scale), order="C")
+        rows = h.reshape(h.shape[0], -1)
+        if reverse:
+            rows = rows[::-1]
+        carry = np.empty_like(rows[0])
+        for t in range(1, rows.shape[0]):
+            np.multiply(rows[t - 1], h.dtype.type(decay), out=carry)
+            np.add(rows[t], carry, out=rows[t])
+        return h
+
+    h = taped_op((x,), recurrence(x.data),
+                 lambda gouts: (recurrence(gouts[0], reverse=True),))
+    return h, heaviside_surrogate(h, p.v_th, relaxed=relaxed)
+
+
+def _layer_and_grad(forward, x0, loss, seed):
+    rng = np.random.default_rng(seed)
+    proj_s = Tensor(rng.standard_normal(x0.shape).astype(x0.dtype))
+    proj_h = Tensor(rng.standard_normal(x0.shape).astype(x0.dtype))
+    x = Tensor(x0.copy(), requires_grad=True)
+    with Tape() as tape:
+        h, s = forward(x)
+        terms = {"sum": [sum_all(s)], "s": [sum_all(mul(s, proj_s))],
+                 "h": [sum_all(mul(h, proj_h))],
+                 "both": [sum_all(mul(s, proj_s)), sum_all(mul(h, proj_h))]}
+        out = terms[loss][0]
+        for term in terms[loss][1:]:
+            out = add(out, term)
+        tape.backward(out)
+    return h.data, s.data, x.grad
+
+
+# Row blocks of 2^16 elements: one row each, 65 rows twice then the last
+# 10, the whole array, and a row larger than a block; then a 1-D input and a
+# 3-D one in blocks of 2 rows.
+_FUSED_SHAPES = [(3, 65536), (140, 1000), (16, 2048), (2, 70000), (9,),
+                 (6, 4, 6000)]
+
+
+def test_fused_shapes_cover_each_kind_of_block():
+    steps = [_block_rows(np.empty(shape).reshape(shape[0], -1))
+             for shape in _FUSED_SHAPES]
+    assert steps == [1, 65, 16, 2, 9, 2]
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("loss", ["sum", "s", "h", "both"])
+@pytest.mark.parametrize("shape", _FUSED_SHAPES, ids=str)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["if", "lif"])
+def test_fused_op_is_bit_identical_to_two_ops(kind, dtype, shape, loss,
+                                              relaxed):
+    p = VanillaNeuronParams(kind=kind, tau_m=2.5, reset_mode="none")
+    rng = np.random.default_rng([17, len(shape), shape[0]])
+    x0 = (rng.standard_normal(shape) * 1.5).astype(dtype)
+
+    def fused(x):
+        trace = parallel_no_reset(x, p, relaxed=relaxed)
+        return trace.h, trace.s
+
+    got = _layer_and_grad(fused, x0, loss, 18)
+    want = _layer_and_grad(lambda x: _two_op_charge_fire(x, p, relaxed),
+                           x0, loss, 18)
+    for name, g, w in zip(("h", "s", "x.grad"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def test_fused_op_records_one_tape_entry_for_both_outputs():
+    p = VanillaNeuronParams(kind="lif", reset_mode="none")
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    with Tape() as tape:
+        trace = parallel_no_reset(x, p)
+        assert len(tape) == 1
+        assert trace.h.requires_grad and trace.s.requires_grad

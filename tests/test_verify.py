@@ -25,9 +25,10 @@ def test_serial_parallel_small_grid_passes():
 def test_serial_parallel_catches_combine_fault(monkeypatch):
     recurrence = vanilla._recurrence
 
-    def biased(x, decay, scale, reverse=False):
-        # Every step of the reset-free charge off by 1e-3.
-        return recurrence(x, decay, scale, reverse) + 1e-3
+    def biased(rows, decay, start, stop, carry):
+        # Every carried step of the reset-free charge off by 1e-3.
+        recurrence(rows, decay, start, stop, carry)
+        rows[max(start, 1):stop] += 1e-3
 
     monkeypatch.setattr(vanilla, "_recurrence", biased)
     result = suite_serial_parallel(t_values=(16,), n_values=(8,),
@@ -133,6 +134,28 @@ def test_grad_suite_catches_a_dropped_weight_gradient_diagonal(monkeypatch):
     assert not result.passed
     failed = {w.split(",")[0] for w in result.failures}
     assert failed == {"(case=masked-psn-banded", "(case=spsn-banded"}
+
+
+def test_grad_suite_checks_the_fused_reset_free_backward(monkeypatch):
+    charge_fire = vanilla._charge_fire
+    backward = vanilla._charge_fire_backward
+    relaxed = []
+
+    def recording(*args):
+        relaxed.append(args[4])
+        return charge_fire(*args)
+
+    def skewed(*args):
+        return backward(*args) * 1.01
+
+    monkeypatch.setattr(vanilla, "_charge_fire", recording)
+    monkeypatch.setattr(vanilla, "_charge_fire_backward", skewed)
+    result = suite_grad(instances=2)
+    # The reset-free cases run the fused op's relaxed forward, and the
+    # finite differences reject its skewed backward.
+    assert relaxed and all(relaxed)
+    failed = {w.split(",")[0] for w in result.failures}
+    assert failed == {"(case=if-no-reset", "(case=lif-no-reset"}
 
 
 def test_grad_harness_detects_a_wrong_gradient():
