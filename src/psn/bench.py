@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, oversize_as_memory_error
 from .neurons import KINDS, ORDER_KINDS, make
 from .tensor import Tape, Tensor, matmul, sum_all, tracker
 
@@ -67,6 +67,8 @@ class BenchConfig:
             raise ContractError(
                 f"median timing needs measured_iters >= 3, got "
                 f"{self.measured_iters}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_iters < 0:
             raise ContractError(
                 f"warmup_iters must be >= 0, got {self.warmup_iters}")
@@ -151,40 +153,38 @@ def _skipped(kind, N, T, mode):
                        status="skipped")
 
 
+def _unless_too_large(fn):
+    """fn(), or None when it needs more memory than there is."""
+    try:
+        with oversize_as_memory_error():
+            return fn()
+    except MemoryError:
+        return None
+
+
 def _run_cell(cfg, mode, N, T):
     """All records for one (N, T) grid cell, baseline timed exactly once.
 
     A cell whose input cannot be allocated is skipped for every kind.
     """
-    try:
-        x_data = bench_input(cfg.seed, N, T)
-    except MemoryError:
+    x_data = _unless_too_large(lambda: bench_input(cfg.seed, N, T))
+    if x_data is None:
         return [_skipped(kind, N, T, mode) for kind in cfg.neuron_kinds]
 
-    try:
-        baseline, baseline_faults = _time_median(
-            _make_step(mode, x_data, _make_params("lif", T, cfg.seed)),
-            cfg.warmup_iters, cfg.measured_iters)
-    except MemoryError:
-        baseline = None
+    def timed(kind):
+        return _unless_too_large(lambda: _time_median(
+            _make_step(mode, x_data, _make_params(kind, T, cfg.seed)),
+            cfg.warmup_iters, cfg.measured_iters))
 
+    baseline = timed("lif")
     records = []
     for kind in cfg.neuron_kinds:
-        if kind == "lif":
-            if baseline is None:
-                records.append(_skipped(kind, N, T, mode))
-            else:
-                records.append(BenchRecord(kind, N, T, mode, baseline, 1.0,
-                                           minor_faults=baseline_faults))
-            continue
-        try:
-            wall, faults = _time_median(
-                _make_step(mode, x_data, _make_params(kind, T, cfg.seed)),
-                cfg.warmup_iters, cfg.measured_iters)
-        except MemoryError:
+        timing = baseline if kind == "lif" else timed(kind)
+        if timing is None:
             records.append(_skipped(kind, N, T, mode))
             continue
-        ratio = baseline / wall if baseline is not None else float("nan")
+        wall, faults = timing
+        ratio = baseline[0] / wall if baseline is not None else float("nan")
         records.append(BenchRecord(kind, N, T, mode, wall, ratio,
                                    minor_faults=faults))
     return records

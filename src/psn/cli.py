@@ -520,9 +520,11 @@ def main(argv=None):
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.resolved_threads)
 
-    from .errors import ContractError, DivergenceError, ParseError
+    from .errors import (ContractError, DivergenceError, ParseError,
+                         oversize_as_memory_error)
     try:
-        return args.func(args)
+        with oversize_as_memory_error():
+            return args.func(args)
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE

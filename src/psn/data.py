@@ -29,13 +29,12 @@ from .tensor import Tensor
 
 
 class SequenceBatch:
-    """Inputs (T, N, C) as a tensor, integer labels (N,), and metadata."""
+    """Inputs (T, N, C) as a tensor and integer labels (N,)."""
 
-    def __init__(self, inputs, labels, metadata=None):
+    def __init__(self, inputs, labels):
         self.inputs = inputs
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.metadata = dict(metadata or {})
-        T, N = inputs.data.shape[0], inputs.data.shape[1]
+        N = inputs.data.shape[1]
         if self.labels.shape != (N,):
             raise ContractError(
                 f"labels shape {self.labels.shape} does not match batch "
@@ -53,35 +52,25 @@ class SequenceBatch:
         return self.inputs.data.shape[2]
 
 
-def columnize(images, labels=None, normalize=False, stats=None):
-    """(N, H, W) images -> SequenceBatch with T=W, C=H.
+def columnize(images, labels, stats=None):
+    """(N, H, W) images -> standardized SequenceBatch with T=W, C=H.
 
-    ``normalize`` standardizes with mean/std taken from ``stats`` when given
-    (the train split's statistics) or computed from this batch otherwise;
-    the stats used end up in the metadata either way.
+    The mean and std come from ``stats`` when given (the train split's
+    statistics) and from this batch otherwise.
     """
-    arr = images.data if isinstance(images, Tensor) else np.asarray(images)
-    arr = arr.astype(np.float32, copy=False)
+    arr = np.asarray(images).astype(np.float32, copy=False)
     if arr.ndim != 3 or arr.size == 0:
         raise ContractError(
             f"columnize needs a non-empty (N, H, W) batch, got shape "
             f"{arr.shape}")
-    n, h, w = arr.shape
     seq = np.ascontiguousarray(arr.transpose(2, 0, 1))  # (W, N, H)
-
-    meta = {"source": "columnize"}
-    if normalize:
-        if stats is None:
-            stats = (float(seq.mean()), float(seq.std()))
-        mean, std = stats
-        if std <= 0:
-            raise ContractError(f"normalization std must be > 0, got {std}")
-        seq = (seq - np.float32(mean)) / np.float32(std)
-        meta["normalization"] = {"mean": mean, "std": std}
-
-    if labels is None:
-        labels = np.zeros(n, dtype=np.int64)
-    return SequenceBatch(Tensor(seq), labels, meta)
+    if stats is None:
+        stats = (float(seq.mean()), float(seq.std()))
+    mean, std = stats
+    if std <= 0:
+        raise ContractError(f"normalization std must be > 0, got {std}")
+    seq = (seq - np.float32(mean)) / np.float32(std)
+    return SequenceBatch(Tensor(seq), labels)
 
 
 _IMG_SIZE = 16
@@ -161,12 +150,8 @@ def synth_toy_dataset(num_classes, samples_per_class, seed):
         num_classes, test_per_class, test_rng)
 
     stats = (float(train_images.mean()), float(train_images.std()))
-    train = columnize(train_images, train_labels, normalize=True, stats=stats)
-    test = columnize(test_images, test_labels, normalize=True, stats=stats)
-    for split, batch in (("train", train), ("test", test)):
-        batch.metadata.update(source="synth_toy", split=split, seed=int(seed),
-                              num_classes=int(num_classes))
-    return train, test
+    return (columnize(train_images, train_labels, stats),
+            columnize(test_images, test_labels, stats))
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -227,8 +212,9 @@ def load_csv_labels(path):
     return np.asarray(labels, dtype=np.int64)
 
 
-def load_idx_pair(image_path, label_path, normalize=True):
-    """Images + labels (IDX or CSV for labels) as one SequenceBatch."""
+def load_idx_pair(image_path, label_path):
+    """Images + labels (IDX or CSV for labels) as one SequenceBatch,
+    standardized with its own statistics."""
     images = load_idx_images(image_path)
     if str(label_path).endswith(".csv"):
         labels = load_csv_labels(label_path)
@@ -237,6 +223,4 @@ def load_idx_pair(image_path, label_path, normalize=True):
     if labels.shape[0] != images.shape[0]:
         raise ContractError(
             f"{labels.shape[0]} labels for {images.shape[0]} images")
-    batch = columnize(images, labels, normalize=normalize)
-    batch.metadata["source"] = str(image_path)
-    return batch
+    return columnize(images, labels)

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+import contextlib
+
+# numpy's words for a size it cannot index, each a MemoryError in effect.
+_NUMPY_OVERSIZE = ("Maximum allowed dimension exceeded",
+                   "Maximum allowed size exceeded", "array is too big")
+
 
 class ShapeMismatchError(ValueError):
     """Operands have incompatible shapes. The message names both shapes."""
@@ -25,3 +31,15 @@ class ParseError(ValueError):
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
+
+
+@contextlib.contextmanager
+def oversize_as_memory_error():
+    """Re-raise numpy's ValueError for a size it cannot index as the
+    MemoryError it stands for; every other exception passes unchanged."""
+    try:
+        yield
+    except ValueError as err:
+        if type(err) is ValueError and str(err).startswith(_NUMPY_OVERSIZE):
+            raise MemoryError(str(err)) from None
+        raise

@@ -1,7 +1,7 @@
 from .losses import cross_entropy, loss_ce_mean, loss_tet
 from .loop import History, TrainConfig, evaluate, train
 from .model import HEADS, LinearLayer, Model, ModelSpec, NeuronLayer
-from .optim import AdamLike, SGDMomentum, cosine_lr, resolve_lr, step_lr
+from .optim import AdamLike, SGDMomentum, cosine_lr
 
 __all__ = [
     "AdamLike",
@@ -18,7 +18,5 @@ __all__ = [
     "evaluate",
     "loss_ce_mean",
     "loss_tet",
-    "resolve_lr",
-    "step_lr",
     "train",
 ]

@@ -27,12 +27,11 @@ from ..errors import ContractError
 from ..neurons import lambda_schedule
 from ..tensor import Tensor, no_tape, Tape
 from .losses import loss_ce_mean, loss_tet
-from .model import Model
-from .optim import AdamLike, SGDMomentum, resolve_lr
+from .optim import AdamLike, SGDMomentum, cosine_lr
 
 OPTIMIZERS = ("sgd_momentum", "adam_like")
 LOSSES = ("ce_mean_output", "tet")
-LR_SCHEDULES = ("cosine", "step", "none")
+EVAL_BATCH = 256
 
 
 @dataclass
@@ -42,7 +41,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     optimizer_kind: str = "adam_like"
     loss_kind: str = "ce_mean_output"
-    lr_schedule: str = "cosine"
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +59,6 @@ class TrainConfig:
                 f"unknown optimizer {self.optimizer_kind!r}")
         if self.loss_kind not in LOSSES:
             raise ContractError(f"unknown loss {self.loss_kind!r}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ContractError(f"unknown lr schedule {self.lr_schedule!r}")
 
 
 class History:
@@ -73,8 +69,8 @@ class History:
     across executions.
     """
 
-    def __init__(self, records=None):
-        self.records = list(records or [])
+    def __init__(self):
+        self.records = []
         self.epoch_seconds = []
 
     def add(self, epoch, split, metric, value):
@@ -94,30 +90,19 @@ class History:
                 if s == split and m == metric]
 
 
-def _loss_fn(cfg):
-    return loss_ce_mean if cfg.loss_kind == "ce_mean_output" else loss_tet
-
-
-def _make_optimizer(model, cfg):
-    if cfg.optimizer_kind == "sgd_momentum":
-        return SGDMomentum(model.parameters(), cfg.learning_rate)
-    return AdamLike(model.parameters(), cfg.learning_rate)
-
-
-def evaluate(model, batch, batch_size=256, head=None):
+def evaluate(model, batch):
     """Top-1 accuracy plus mean firing rate per neuron layer."""
-    head = head or model.spec.head
     inputs = batch.inputs.data
     labels = batch.labels
     n = inputs.shape[1]
     correct = 0
     rate_sums = np.zeros(len(model.neuron_layers()))
     with no_tape():
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
+        for start in range(0, n, EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, n)
             xb = Tensor(inputs[:, start:stop, :])
             logits = model.forward(xb).data
-            if head == "per-step":
+            if model.spec.head == "per-step":
                 votes = logits.argmax(axis=2)  # (T, b)
                 num_classes = logits.shape[2]
                 pred = np.apply_along_axis(
@@ -131,19 +116,17 @@ def evaluate(model, batch, batch_size=256, head=None):
     return correct / n, list(rate_sums / n)
 
 
-def train(model_or_spec, train_batch, test_batch, cfg, history=None):
-    """Run the full loop; returns the History (also mutated in place).
+def train(model, train_batch, test_batch, cfg):
+    """Train ``model`` in place under the cosine schedule; returns the
+    History.
 
     Each epoch's wall time, evaluation included, is appended to the
     history's ``epoch_seconds``.
     """
-    if isinstance(model_or_spec, Model):
-        model = model_or_spec
-    else:
-        model = Model(model_or_spec, train_batch.num_channels)
-    loss_fn = _loss_fn(cfg)
-    optimizer = _make_optimizer(model, cfg)
-    history = history if history is not None else History()
+    loss_fn = loss_ce_mean if cfg.loss_kind == "ce_mean_output" else loss_tet
+    optimizer = (SGDMomentum if cfg.optimizer_kind == "sgd_momentum"
+                 else AdamLike)(model.parameters(), cfg.learning_rate)
+    history = History()
 
     inputs = train_batch.inputs.data
     labels = train_batch.labels
@@ -157,8 +140,7 @@ def train(model_or_spec, train_batch, test_batch, cfg, history=None):
                    if cfg.epochs >= 2 else 1.0)
             model.set_masked_lambda(lam)
 
-        lr = resolve_lr(cfg.lr_schedule, cfg.learning_rate, epoch, cfg.epochs)
-        optimizer.lr = lr
+        optimizer.lr = lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
 
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         loss_total = 0.0

@@ -84,9 +84,8 @@ class LinearLayer:
 
 
 class NeuronLayer:
-    def __init__(self, kind, opts, num_steps, rng, dtype=np.float32):
-        self.kind = kind
-        self.params = make(kind, num_steps, rng, opts, dtype)
+    def __init__(self, kind, opts, num_steps, rng):
+        self.params = make(kind, num_steps, rng, opts)
         self.last_trace = None
 
     def __call__(self, x):
@@ -133,8 +132,6 @@ class Model:
             out = layer(out)
             self.last_outputs.append((f"layer{i}.output", out))
         return out
-
-    __call__ = forward
 
     def neuron_layers(self):
         return [l for l in self.layers if isinstance(l, NeuronLayer)]
@@ -189,16 +186,11 @@ class Model:
                     f"{p.data.shape}")
             p.data = arr.copy()
 
-    def find_nonfinite(self):
-        """Name of the first tensor with a non-finite entry, forward order."""
-        for name, t in self.last_outputs:
-            if not np.all(np.isfinite(t.data)):
-                return name
-        return None
-
     def raise_divergence(self, loss_value):
-        name = self.find_nonfinite()
-        raise DivergenceError(name or "loss",
-                              f"training diverged (loss={loss_value}); "
-                              f"non-finite values first appeared in "
-                              f"{name or 'loss'!r}")
+        """DivergenceError naming the first output, in forward order, with
+        a non-finite entry ("loss" when there is none)."""
+        name = next((name for name, t in self.last_outputs
+                     if not np.all(np.isfinite(t.data))), "loss")
+        raise DivergenceError(name, f"training diverged (loss={loss_value}); "
+                                    f"non-finite values first appeared in "
+                                    f"{name!r}")

@@ -1,11 +1,11 @@
-"""Parameter updates and learning-rate schedules.
+"""Parameter updates and the cosine learning-rate schedule.
 
-Two optimizers: classic SGD with momentum, and an Adam-style update with
-bias correction. Both keep their state in flat buffers over all
-parameters, which must share one dtype, and mutate parameter data in
-place, outside any tape. A parameter without a gradient is skipped: its
-state and data stay as they are. ``lr`` is a plain attribute so the
-training loop can drive it from a schedule each epoch.
+Two optimizers: classic SGD with momentum ``MOMENTUM``, and an Adam-style
+update with bias correction at ``BETAS`` and ``EPS``. Both keep their state
+in flat buffers over all parameters, which must share one dtype, and mutate
+parameter data in place, outside any tape. A parameter without a gradient
+is skipped: its state and data stay as they are. ``lr`` is a plain
+attribute so the training loop can drive it from the schedule each epoch.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError
+
+MOMENTUM = 0.9
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 class _FlatParams:
@@ -64,15 +68,12 @@ class _FlatParams:
 
 
 class SGDMomentum:
-    def __init__(self, params, lr, momentum=0.9):
+    def __init__(self, params, lr):
         if lr < 0:
             raise ContractError(f"learning rate must be >= 0, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
         self._flat = _FlatParams(params)
         self.params = self._flat.params
         self.lr = float(lr)
-        self.momentum = float(momentum)
         self._velocity = self._flat.zeros()
 
     def zero_grad(self):
@@ -84,7 +85,7 @@ class SGDMomentum:
         if not live:
             return
         v = self._velocity[where]
-        v *= self.momentum
+        v *= MOMENTUM
         v += g
         if not isinstance(where, slice):
             self._velocity[where] = v
@@ -92,17 +93,12 @@ class SGDMomentum:
 
 
 class AdamLike:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr):
         if lr < 0:
             raise ContractError(f"learning rate must be >= 0, got {lr}")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ContractError(f"betas must lie in [0, 1), got {betas}")
         self._flat = _FlatParams(params)
         self.params = self._flat.params
         self.lr = float(lr)
-        self.betas = (float(b1), float(b2))
-        self.eps = float(eps)
         self._m = self._flat.zeros()
         self._v = self._flat.zeros()
         self._t = 0
@@ -116,7 +112,7 @@ class AdamLike:
         live, where, g = self._flat.gather()
         if not live:
             return
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         c1 = 1.0 - b1 ** self._t
         c2 = 1.0 - b2 ** self._t
         m = self._m[where]
@@ -128,7 +124,7 @@ class AdamLike:
         if not isinstance(where, slice):
             self._m[where] = m
             self._v[where] = v
-        update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+        update = (m / c1) / (np.sqrt(v / c2) + EPS)
         self._flat.subtract(live, self.lr * update)
 
 
@@ -142,22 +138,3 @@ def cosine_lr(base_lr, epoch, epochs):
         return base_lr
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / (epochs - 1)))
 
-
-def step_lr(base_lr, epoch, epochs, gamma=0.1):
-    """Decay by gamma at 1/2 and 3/4 of the run."""
-    factor = 1.0
-    if epoch >= epochs // 2:
-        factor *= gamma
-    if epoch >= (3 * epochs) // 4:
-        factor *= gamma
-    return base_lr * factor
-
-
-def resolve_lr(schedule, base_lr, epoch, epochs):
-    if schedule == "cosine":
-        return cosine_lr(base_lr, epoch, epochs)
-    if schedule == "step":
-        return step_lr(base_lr, epoch, epochs)
-    if schedule == "none":
-        return base_lr
-    raise ContractError(f"unknown lr schedule {schedule!r}")

@@ -110,8 +110,7 @@ def toy_runs():
     """Train the three learning-gate models once; reused by the rate gate."""
     train_b, test_b = synth_toy_dataset(4, 500, seed=3)
     cfg = TrainConfig(epochs=50, batch_size=64, learning_rate=2e-3,
-                      optimizer_kind="adam_like", lr_schedule="cosine",
-                      seed=11)
+                      optimizer_kind="adam_like", seed=11)
     runs = {}
     t0 = time.perf_counter()
     for name, kind, opts in (("psn", "psn", {}),

@@ -290,6 +290,15 @@ def test_train_negative_seed_exits_2(tmp_path, capsys):
                                      capsys, "seed must be >= 0")
 
 
+def test_bench_negative_seed_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    assert _run(["bench", "--seed", "-1", "--n-values", "4", "--t-values",
+                 "2", "--iters", "3", "--out-dir", str(out_dir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err
+    assert not (out_dir / "bench-manifest.json").exists()
+
+
 def test_train_replay_of_a_negative_seed_exits_2(train_run, tmp_path,
                                                   capsys):
     run = _mistyped_run(train_run, tmp_path, 0, "config.seed", -1)
@@ -351,6 +360,50 @@ def test_train_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert not (out_dir / "manifest.json").exists()
+
+
+_UNINDEXABLE = 2 ** 64  # past every numpy dimension and size
+
+
+@pytest.mark.parametrize("case", [
+    "--hidden", "--samples-per-class", "--order", "eval", "--from-manifest",
+    "--n-values", "--t-values"])
+def test_sizes_numpy_cannot_index_are_out_of_memory(case, train_run,
+                                                    tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    big = str(_UNINDEXABLE)
+    if case in ("--n-values", "--t-values"):
+        other = "--t-values" if case == "--n-values" else "--n-values"
+        assert _run(["bench", case, big, other, "2", "--iters", "3",
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        rows = (out_dir / "bench.csv").read_text().split()[1:]
+        assert len(rows) == 2 and all(r.endswith(",skipped") for r in rows)
+        return
+    if case in ("eval", "--from-manifest"):
+        run = _mistyped_run(train_run, tmp_path, 0, "config.hidden",
+                            _UNINDEXABLE)
+        if case == "eval":
+            argv, written = ["eval", str(run)], run / "eval-manifest.json"
+        else:
+            argv = ["train", case, str(run / "manifest.json"),
+                    "--out-dir", str(out_dir)]
+            written = out_dir / "manifest.json"
+    else:
+        neuron = ["--neuron", "spsn"] if case == "--order" else []
+        argv = ["train", "--epochs", "1", *neuron, case, big,
+                "--out-dir", str(out_dir)]
+        written = out_dir / "manifest.json"
+    assert _run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert not written.exists()
+
+
+def test_other_value_errors_are_not_out_of_memory():
+    from psn.errors import ContractError, oversize_as_memory_error
+    for err in (ValueError("negative dimensions are not allowed"),
+                ContractError("Maximum allowed dimension exceeded")):
+        with pytest.raises(type(err)), oversize_as_memory_error():
+            raise err
 
 
 def test_eval_rejects_a_faulty_manifest(train_run, tmp_path, capsys):

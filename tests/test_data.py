@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from psn.data import (SequenceBatch, _class_geometry, columnize,
+from psn.data import (SequenceBatch, _class_geometry, _toy_images, columnize,
                       load_csv_labels, load_idx_images, load_idx_labels,
                       load_idx_pair, synth_toy_dataset)
 from psn.errors import ContractError, ParseError
@@ -27,11 +27,14 @@ def _write_idx_labels(path, labels):
 
 # -------------------------------------------------------------- columnize
 
+# Mean 0 and std 1 leave every float32 as it is, so the permutation shows.
+_IDENTITY = (0.0, 1.0)
+
 
 def test_columnize_reads_out_columns():
     img = np.array([[[1.0, 2.0],
                      [3.0, 4.0]]])
-    batch = columnize(img)
+    batch = columnize(img, [0], stats=_IDENTITY)
     assert batch.inputs.data.shape == (2, 1, 2)
     # Step 0 is the left column top-to-bottom, step 1 the right column.
     np.testing.assert_array_equal(batch.inputs.data[0, 0], [1.0, 3.0])
@@ -39,48 +42,46 @@ def test_columnize_reads_out_columns():
     # N, H and W all differ, so any axis mix-up changes the shape or values.
     imgs = np.random.default_rng(70).standard_normal((4, 6, 9))
     imgs = imgs.astype(np.float32)
-    seq = columnize(imgs).inputs.data
+    seq = columnize(imgs, np.zeros(4), stats=_IDENTITY).inputs.data
     assert seq.shape == (9, 4, 6)
     assert seq.tobytes() == np.ascontiguousarray(
         imgs.transpose(2, 0, 1)).tobytes()
 
 
 def test_columnize_constant_image_is_constant_sequence():
-    batch = columnize(np.full((2, 3, 5), 0.25))
+    batch = columnize(np.full((2, 3, 5), 0.25), [0, 1], stats=_IDENTITY)
     assert np.all(batch.inputs.data == np.float32(0.25))
     assert batch.num_steps == 5 and batch.num_channels == 3
 
 
 def test_columnize_rejects_empty_or_wrong_rank():
     with pytest.raises(ContractError):
-        columnize(np.zeros((0, 4, 4)))
+        columnize(np.zeros((0, 4, 4)), [])
     with pytest.raises(ContractError):
-        columnize(np.zeros((4, 4)))
+        columnize(np.zeros((4, 4)), np.zeros(4))
 
 
 def test_columnize_normalization_uses_given_stats():
     imgs = np.full((2, 2, 2), 3.0)
-    batch = columnize(imgs, normalize=True, stats=(1.0, 2.0))
+    batch = columnize(imgs, [0, 1], stats=(1.0, 2.0))
     np.testing.assert_allclose(batch.inputs.data, 1.0)
-    assert batch.metadata["normalization"] == {"mean": 1.0, "std": 2.0}
 
 
 def test_columnize_self_stats_standardize():
     rng = np.random.default_rng(71)
-    batch = columnize(rng.standard_normal((3, 4, 4)) * 5 + 2,
-                      normalize=True)
+    batch = columnize(rng.standard_normal((3, 4, 4)) * 5 + 2, [0, 1, 2])
     assert abs(float(batch.inputs.data.mean())) < 1e-5
     assert abs(float(batch.inputs.data.std()) - 1.0) < 1e-5
 
 
 def test_degenerate_std_rejected():
     with pytest.raises(ContractError):
-        columnize(np.zeros((2, 2, 2)), normalize=True)
+        columnize(np.zeros((2, 2, 2)), [0, 1])
 
 
-def test_labels_default_to_zeros_and_shape_checked():
-    batch = columnize(np.ones((3, 2, 2)))
-    np.testing.assert_array_equal(batch.labels, np.zeros(3, dtype=np.int64))
+def test_labels_shape_checked():
+    with pytest.raises(ContractError):
+        columnize(np.ones((3, 2, 2)), [0, 1], stats=_IDENTITY)
     with pytest.raises(ContractError):
         SequenceBatch(Tensor(np.zeros((2, 3, 2))), np.zeros(4))
 
@@ -122,19 +123,19 @@ def test_synth_splits_are_disjoint_draws():
 
 def test_normalization_comes_from_train_split():
     train, test = synth_toy_dataset(4, 50, seed=2)
-    assert train.metadata["normalization"] == test.metadata["normalization"]
+    # The raw images of each split, drawn as synth_toy_dataset draws them.
+    raw = [_toy_images(4, per_class, np.random.default_rng(s)) for
+           per_class, s in zip((50, 12), np.random.SeedSequence(2).spawn(2))]
+    stats = (float(raw[0][0].mean()), float(raw[0][0].std()))
+    for batch, (images, labels) in zip((train, test), raw):
+        want = columnize(images, labels, stats=stats)
+        assert batch.inputs.data.tobytes() == want.inputs.data.tobytes()
+        np.testing.assert_array_equal(batch.labels, labels)
     assert abs(float(train.inputs.data.mean())) < 1e-4
     # The test split uses train stats, so it need not be exactly centered.
     assert abs(float(test.inputs.data.mean())) < 0.12
-
-
-def test_synth_metadata():
-    train, test = synth_toy_dataset(4, 10, seed=5)
-    assert train.metadata["source"] == "synth_toy"
-    assert train.metadata["split"] == "train"
-    assert test.metadata["split"] == "test"
-    assert train.metadata["num_classes"] == 4
-    assert train.metadata["seed"] == 5
+    self_stats = columnize(*raw[1]).inputs.data
+    assert test.inputs.data.tobytes() != self_stats.tobytes()
 
 
 def test_geometry_fits_in_frame_for_all_class_counts():
@@ -209,11 +210,18 @@ def test_idx_truncated_header(tmp_path):
 def test_idx_pair_and_count_mismatch(tmp_path):
     imgs = tmp_path / "images.idx"
     labs = tmp_path / "labels.idx"
-    _write_idx_images(imgs, np.full((3, 2, 2), 128, dtype=np.uint8))
+    pixels = np.arange(3 * 2 * 5, dtype=np.uint8).reshape(3, 2, 5) * 8
+    _write_idx_images(imgs, pixels)
     _write_idx_labels(labs, [0, 1, 2])
-    batch = load_idx_pair(imgs, labs, normalize=False)
-    assert len(batch) == 3 and batch.num_steps == 2
+    batch = load_idx_pair(imgs, labs)
+    assert len(batch) == 3 and batch.num_steps == 5
     np.testing.assert_array_equal(batch.labels, [0, 1, 2])
+    # Standardized with the statistics of its own columns.
+    seq = np.ascontiguousarray(
+        (pixels.astype(np.float32) / 255.0).transpose(2, 0, 1))
+    want = (seq - np.float32(seq.mean())) / np.float32(seq.std())
+    assert batch.inputs.data.tobytes() == want.tobytes()
+    assert abs(float(batch.inputs.data.mean())) < 1e-6
 
     _write_idx_labels(labs, [0, 1])
     with pytest.raises(ContractError) as err:
@@ -261,7 +269,7 @@ def test_csv_labels_reject_bytes_that_are_not_csv_text(tmp_path, blob):
 def test_idx_pair_csv_fallback(tmp_path):
     imgs = tmp_path / "images.idx"
     labs = tmp_path / "labels.csv"
-    _write_idx_images(imgs, np.full((2, 2, 2), 64, dtype=np.uint8))
+    _write_idx_images(imgs, [[[0, 64], [128, 255]], [[1, 2], [3, 4]]])
     labs.write_text("1\n0\n")
-    batch = load_idx_pair(imgs, labs, normalize=False)
+    batch = load_idx_pair(imgs, labs)
     np.testing.assert_array_equal(batch.labels, [1, 0])

@@ -1,4 +1,4 @@
-"""Seeded mutation fuzz of every file the command line reads.
+"""Seeded mutation fuzz of every file and flag the command line reads.
 
 A real training run's checkpoint and manifest, and the IDX image and label
 files and the CSV label file it was trained on, are each mutated from a
@@ -7,17 +7,22 @@ bytes. Every mutation goes through ``psn eval`` in process. A malformed
 input must end in exit 2 (a clean ``ParseError``/``ContractError``/
 ``OSError``) or load and exit 0; any other exception escaping ``main`` is a
 bug in the reader, and exit 1 is reserved for a failed verify suite.
+
+The argv fuzz swaps the flag values of tiny ``train``, ``eval``, ``bench``
+and ``verify`` runs for edge tokens, or repeats a flag with one. Each must
+end in exit 0, 2 or 3.
 """
 
 import json
 import os
+import random
 import struct
 
 import numpy as np
 import pytest
 
 from psn import checkpoint, cli
-from psn.cli import EXIT_OK, EXIT_USAGE, main
+from psn.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from psn.training import loop
 
 
@@ -141,3 +146,100 @@ def test_mutated_manifests_replay_with_exit_0_or_2(runs, capsys,
     assert codes[0] == EXIT_OK, "the unmutated manifest must replay"
     assert set(codes) <= {EXIT_OK, EXIT_USAGE}, codes
     assert EXIT_USAGE in codes
+
+
+# ------------------------------------------------------------- argv fuzz
+
+# Negative, zero, past every numpy dimension, not a number, infinite,
+# empty, non-ASCII and a negative zero.
+_EDGE_TOKENS = ("-1", "0", str(2 ** 64), "nan", "inf", "", "\u00e9", "-0")
+# A large valid iteration or thread count would run for ever or start that
+# many threads, so these flags get only invalid tokens and small values.
+_COUNT_FLAGS = ("--epochs", "--iters", "--warmup", "--threads")
+_COUNT_TOKENS = ("-1", "0", "nan", "inf", "", "\u00e9", "1", "2")
+
+
+def _base_argvs(run_dir):
+    """{command: [(flag, value)]} of tiny runs; a positional's flag is
+    None."""
+    return {
+        "train": [("--neuron", "spsn"), ("--order", "2"), ("--epochs", "1"),
+                  ("--seed", "0"), ("--data", "toy"), ("--classes", "2"),
+                  ("--samples-per-class", "2"), ("--hidden", "2"),
+                  ("--head", "per-step"), ("--loss", "tet"),
+                  ("--optimizer", "sgd"), ("--lr", "0.01"),
+                  ("--batch-size", "2"), ("--out-dir", "train"),
+                  ("--threads", "1")],
+        "eval": [(None, str(run_dir)), ("--split", "train"),
+                 ("--threads", "1")],
+        "bench": [("--mode", "training"), ("--kinds", "lif,spsn"),
+                  ("--n-values", "4"), ("--t-values", "2,3"),
+                  ("--warmup", "0"), ("--iters", "3"), ("--seed", "0"),
+                  ("--out", "b.csv"), ("--out-dir", "bench"),
+                  ("--threads", "1")],
+        "verify": [("--suite", "mask-causality"), ("--out-dir", "verify"),
+                   ("--threads", "1")],
+    }
+
+
+def _argv(command, pairs):
+    argv = [command]
+    for flag, value in pairs:
+        argv += [value] if flag is None else [flag, value]
+    return argv
+
+
+def _fuzzed(pairs, rng):
+    """The base pairs with one flag value swapped or one flag repeated."""
+    pairs = list(pairs)
+    i = rng.randrange(len(pairs))
+    flag = pairs[i][0]
+    token = rng.choice(_COUNT_TOKENS if flag in _COUNT_FLAGS
+                       else _EDGE_TOKENS)
+    if flag is not None and rng.random() < 0.25:
+        pairs.append((flag, token))
+    else:
+        pairs[i] = (flag, token)
+    return pairs
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's and the int lists' usage errors
+        return exc.code
+    except Exception as err:
+        raise AssertionError(f"{argv} raised {err!r}") from err
+
+
+# Cases per command; a verify case that keeps its suite runs it (~0.6 s).
+_ARGV_CASES = {"train": 200, "eval": 60, "bench": 150, "verify": 4}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzzed_flags_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--epochs", "1", "--classes", "2",
+                 "--samples-per-class", "2", "--hidden", "2",
+                 "--out-dir", str(run_dir)]) == EXIT_OK
+    # Every later file stays in memory; relative paths land in tmp_path.
+    for module in (cli, loop, checkpoint):
+        monkeypatch.setattr(module, "write_atomic", {}.__setitem__)
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(18)
+    codes = {}
+    for command, pairs in _base_argvs(run_dir).items():
+        for i in range(_ARGV_CASES[command] + 1):
+            argv = _argv(command, _fuzzed(pairs, rng) if i else pairs)
+            with monkeypatch.context() as env:
+                # Recorded now, so leaving the context undoes what
+                # ``--threads`` writes into the environment.
+                for var in cli._THREAD_ENV_VARS:
+                    env.setenv(var, os.environ.get(var, ""))
+                code = _exit_code(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGENCE), argv
+            if not i:
+                assert code == EXIT_OK, argv
+            codes.setdefault(command, set()).add(code)
+    capsys.readouterr()
+    assert all(EXIT_USAGE in c for c in codes.values()), codes
