@@ -48,9 +48,6 @@ class BenchConfig:
     warmup_iters: int = 1
     measured_iters: int = 5
     seed: int = 0
-    # Recorded so reports from different machines stay comparable; the
-    # benchmark itself never spawns threads.
-    threads: int | None = None
 
     def __post_init__(self):
         self.neuron_kinds = tuple(self.neuron_kinds)
@@ -214,10 +211,6 @@ def _measure_config(configuration, T, N):
                   requires_grad=True)
     w_out = Tensor(scale * rng.standard_normal((N, N), dtype=np.float32),
                    requires_grad=True)
-    if configuration not in _MEMORY_NEURONS:
-        raise ContractError(
-            f"unknown memory configuration {configuration!r}; expected one "
-            f"of {MEMORY_CONFIGURATIONS}")
     kind = _MEMORY_NEURONS[configuration]
     neuron = make(kind, T, rng) if kind else None
 

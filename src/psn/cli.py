@@ -215,11 +215,11 @@ def cmd_bench(args):
         mode=args.mode,
         warmup_iters=args.warmup,
         measured_iters=args.iters,
-        seed=args.seed,
-        threads=args.resolved_threads)
+        seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = args.out or os.path.join(args.out_dir, "bench.csv")
+    os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
     manifest = Manifest(
         os.path.join(args.out_dir, "bench-manifest.json"), "bench",
         config={"mode": cfg.mode, "kinds": list(cfg.neuron_kinds),
@@ -228,7 +228,7 @@ def cmd_bench(args):
                 "warmup_iters": cfg.warmup_iters,
                 "measured_iters": cfg.measured_iters,
                 "memory": args.memory},
-        seed=cfg.seed, threads=cfg.threads)
+        seed=cfg.seed, threads=args.resolved_threads)
     manifest.body["outputs"]["csv"] = os.path.abspath(csv_path)
     manifest.write()
 
@@ -282,9 +282,13 @@ def _load_data(config):
                 f"--data idx: expects '<images>,<labels>' or a directory, "
                 f"got {rest!r}")
         batch = load_idx_pair(image_path, label_path)
+        num_classes = int(batch.labels.max()) + 1
+        if num_classes < 2:
+            raise ContractError(f"{label_path}: every label is 0, and a "
+                                f"classifier needs at least 2 classes")
         # No held-out split is defined for external files; metrics labeled
         # "test" are then on the training data.
-        return batch, batch, int(batch.labels.max()) + 1
+        return batch, batch, num_classes
     raise ContractError(f"unknown data source {source!r}")
 
 

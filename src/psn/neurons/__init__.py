@@ -1,4 +1,4 @@
-from .kinds import KINDS, ORDER_KINDS, T_SIZED_KINDS, make
+from .kinds import KINDS, ORDER_KINDS, make
 from .parallel import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                        blend_mask, build_mask, lambda_schedule,
                        masked_psn_forward, psn_forward, spsn_build_A,
@@ -9,7 +9,7 @@ from .vanilla import (VanillaNeuronParams, apply_reset, charge,
                       parallel_no_reset, vanilla_sequence, vanilla_step)
 
 __all__ = [
-    "KINDS", "ORDER_KINDS", "T_SIZED_KINDS", "make",
+    "KINDS", "ORDER_KINDS", "make",
     "heaviside_surrogate", "smooth_step",
     "SpikeTrace",
     "VanillaNeuronParams", "charge", "apply_reset", "vanilla_step",

@@ -3,47 +3,34 @@
 Every kind is a parameter object with a ``forward(x, *, relaxed=False)``
 method, which returns a SpikeTrace for a (T, N) input, and a ``names``
 tuple of its learnable tensors as checkpoints name them. The module-level
-forwards take ``(x, p, *, relaxed=False)``. The reset-free kinds are the
-IF/LIF parameters with ``reset_mode`` fixed to "none", which their
+forwards take ``(x, p, *, relaxed=False)``. The IF/LIF kinds take no
+options: ``if``/``lif`` are the hard-reset ``VanillaNeuronParams`` defaults,
+and the reset-free kinds the same with ``reset_mode`` "none", which their
 ``forward`` runs as one whole-sequence recurrence.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ContractError
 from .parallel import MaskedPSNParams, PSNParams, SlidingPSNParams
 from .vanilla import VanillaNeuronParams
 
-_VANILLA_OPTIONS = ("tau_m", "v_th", "v_reset", "detach_reset")
-
-# The options each kind accepts. "order" is the history window k and is
-# required wherever it is accepted.
-_OPTIONS = {
-    "psn": (),
-    "masked-psn": ("order",),
-    "spsn": ("order",),
-    "if": _VANILLA_OPTIONS + ("reset_mode",),
-    "lif": _VANILLA_OPTIONS + ("reset_mode",),
-    "if-no-reset": _VANILLA_OPTIONS,
-    "lif-no-reset": _VANILLA_OPTIONS,
-}
-
-KINDS = tuple(_OPTIONS)
-# Kinds that take a history window k as opts["order"].
-ORDER_KINDS = tuple(k for k, opts in _OPTIONS.items() if "order" in opts)
+KINDS = ("psn", "masked-psn", "spsn", "if", "lif", "if-no-reset",
+         "lif-no-reset")
+# Kinds that take a history window k as opts["order"], and require it; no
+# other kind takes an option.
+ORDER_KINDS = ("masked-psn", "spsn")
 # Kinds whose weights are T x T, so they need T at build time.
 T_SIZED_KINDS = ("psn", "masked-psn")
 
 
-def make(kind, num_steps, rng, opts=None, dtype=np.float32):
+def make(kind, num_steps, rng, opts=None):
     """Build one neuron layer's parameters; PSN kinds draw weights from rng."""
-    if kind not in _OPTIONS:
+    if kind not in KINDS:
         raise ContractError(
             f"unknown neuron kind {kind!r}; expected one of {KINDS}")
-    opts = dict(opts or {})
-    unknown = sorted(set(opts) - set(_OPTIONS[kind]))
+    opts = opts or {}
+    unknown = sorted(set(opts) - ({"order"} if kind in ORDER_KINDS else set()))
     if unknown:
         raise ContractError(
             f"unknown neuron options for {kind!r}: {unknown}")
@@ -52,12 +39,11 @@ def make(kind, num_steps, rng, opts=None, dtype=np.float32):
     if kind in T_SIZED_KINDS and num_steps is None:
         raise ContractError(f"{kind} needs the number of time steps")
     if kind == "psn":
-        return PSNParams.create(num_steps, rng, dtype)
+        return PSNParams.create(num_steps, rng)
     if kind == "masked-psn":
-        return MaskedPSNParams.create(num_steps, opts["order"], rng, dtype)
+        return MaskedPSNParams.create(num_steps, opts["order"], rng)
     if kind == "spsn":
-        return SlidingPSNParams.create(opts["order"], dtype)
+        return SlidingPSNParams.create(opts["order"])
     base, _, no_reset = kind.partition("-")
-    if no_reset:
-        opts["reset_mode"] = "none"
-    return VanillaNeuronParams(kind=base, **opts)
+    return VanillaNeuronParams(kind=base,
+                               reset_mode="none" if no_reset else "hard")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
-from ..tensor import Tensor, add, scalar_affine, split_rows, stack_rows, taped_op
+from ..tensor import Tensor, add, scale, split_rows, stack_rows, taped_op
 from .surrogate import _sigma_times, heaviside_surrogate, smooth_step
 from .trace import SpikeTrace
 
@@ -66,8 +66,7 @@ def charge(x_t, v_prev, p):
     if p.kind == "if":
         return add(v_prev, x_t)
     inv = 1.0 / p.tau_m
-    return add(scalar_affine(v_prev, 1.0 - inv, 0.0),
-               scalar_affine(x_t, inv, 0.0))
+    return add(scale(v_prev, 1.0 - inv), scale(x_t, inv))
 
 
 def apply_reset(h, s, p, relaxed=False):

@@ -354,8 +354,8 @@ _PAD_MIN_BYTES = 4 << 20
 # One cache line: the alignment of a padded output and its row padding.
 _PAD = 64
 
-# id -> weak reference of each view _padded handed out, while it lives.
-_padded_views = {}
+# id -> each view _padded handed out, while it lives.
+_padded_views = weakref.WeakValueDictionary()
 
 
 def _padded(m, n, dtype):
@@ -377,16 +377,13 @@ def _padded(m, n, dtype):
     raw = np.empty(m * stride, np.uint8)
     view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
                       (stride, itemsize))
-    key = id(view)
-    _padded_views[key] = weakref.ref(
-        view, lambda _, key=key: _padded_views.pop(key, None))
+    _padded_views[id(view)] = view
     return view
 
 
 def _is_padded(arr):
     """Whether ``arr`` is a view _padded handed out (not a view of one)."""
-    ref = _padded_views.get(id(arr))
-    return ref is not None and ref() is arr
+    return _padded_views.get(id(arr)) is arr
 
 
 def _buffer_bytes(arr):
@@ -563,22 +560,6 @@ def linear(x, w, b):
     return taped_op((x, w, b), out, backward)
 
 
-def _broadcast(op_name, a, b):
-    """The rule an elementwise op broadcasts b against a by.
-
-    The rule is 'same' (equal shapes) or 'trailing' (b is a vector as long as
-    a's last axis, broadcast over the leading axes as numpy does).
-    """
-    a_shape, b_shape = a.data.shape, b.data.shape
-    if a_shape == b_shape:
-        return "same"
-    if len(b_shape) == 1 and len(a_shape) >= 2 and b_shape[0] == a_shape[-1]:
-        return "trailing"
-    raise ShapeMismatchError(
-        f"{op_name}: shapes {a_shape} and {b_shape} do not match and are "
-        f"not a supported broadcast (same shape or trailing axis)")
-
-
 def _column_sum(g):
     """g.sum(axis=0) of a 2-D array, bit for bit, without numpy's row loop.
 
@@ -592,49 +573,44 @@ def _column_sum(g):
     return g.sum(axis=0)
 
 
-def _reduce_broadcast(g, rule):
-    if rule == "same":
-        return g
-    # trailing: sum over every leading axis
-    return _column_sum(g.reshape(-1, g.shape[-1]))
+def _same_shape(op_name, a, b):
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatchError(
+            f"{op_name} needs equal shapes, got {a.data.shape} and "
+            f"{b.data.shape}")
 
 
 def add(a, b):
-    rule = _broadcast("add", a, b)
+    """Elementwise a + b of two equal-shaped tensors."""
+    _same_shape("add", a, b)
     out = a.data + b.data
 
     def backward(gouts):
         g = gouts[0]
-        ga = g if a.requires_grad else None
-        gb = _reduce_broadcast(g, rule) if b.requires_grad else None
-        return ga, gb
+        return (g if a.requires_grad else None,
+                g if b.requires_grad else None)
 
     return taped_op((a, b), out, backward)
 
 
 def mul(a, b):
-    rule = _broadcast("mul", a, b)
+    """Elementwise a * b of two equal-shaped tensors."""
+    _same_shape("mul", a, b)
     ad, bd = a.data, b.data
     out = ad * bd
 
     def backward(gouts):
         g = gouts[0]
-        ga = g * bd if a.requires_grad else None
-        gb = _reduce_broadcast(g * ad, rule) if b.requires_grad else None
-        return ga, gb
+        return (g * bd if a.requires_grad else None,
+                g * ad if b.requires_grad else None)
 
     return taped_op((a, b), out, backward)
 
 
-def scalar_affine(a, mul_by, add_by):
-    """Elementwise a * mul_by + add_by with python scalars."""
-    mul_by = float(mul_by)
-    add_by = float(add_by)
-    ad = a.data
-    k = ad.dtype.type(mul_by)
-    out = ad * k
-    if add_by != 0.0:
-        out += ad.dtype.type(add_by)
+def scale(a, k):
+    """Elementwise a * k with a python scalar k."""
+    k = a.data.dtype.type(k)
+    out = a.data * k
 
     def backward(gouts):
         return (gouts[0] * k,)

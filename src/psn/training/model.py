@@ -8,7 +8,9 @@ time, and restore the shape. The forward pass emits per-step logits
 (T, N, num_classes); heads and losses decide how to collapse time.
 
 The neuron kinds, their options and their forwards are defined once, in
-``psn.neurons.kinds`` (``KINDS`` and ``make``); this module only stacks them.
+``psn.neurons.kinds`` (``KINDS`` and ``make``), which also rejects a bad
+kind, option or missing T when ``Model`` builds the layer; this module only
+stacks them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, DivergenceError
-from ..neurons import KINDS, T_SIZED_KINDS, MaskedPSNParams, make
+from ..neurons import MaskedPSNParams, make
 from ..tensor import Tensor, linear, reshape
 
 HEADS = ("time-averaged", "per-step")
@@ -52,16 +54,10 @@ class ModelSpec:
                 if len(layer) not in (2, 3):
                     raise ContractError(
                         f"neuron layer {i} must be ('neuron', kind[, opts])")
-                kind = layer[1]
-                if kind not in KINDS:
-                    raise ContractError(f"unknown neuron kind {kind!r}")
                 if i == 0 or self.layers[i - 1][0] != "linear":
                     raise ContractError(
                         f"neuron layer {i} must be preceded by a weighted "
                         f"layer")
-                if kind in T_SIZED_KINDS and self.num_steps is None:
-                    raise ContractError(
-                        f"{kind} layers need ModelSpec.num_steps")
             else:
                 raise ContractError(f"unknown layer type {layer[0]!r}")
 

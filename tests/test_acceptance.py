@@ -114,7 +114,7 @@ def toy_runs():
     runs = {}
     t0 = time.perf_counter()
     for name, kind, opts in (("psn", "psn", {}),
-                             ("lif", "lif", {"reset_mode": "hard"}),
+                             ("lif", "lif", {}),
                              ("masked", "masked-psn", {"order": 2})):
         spec = ModelSpec(layers=(("linear", 16, 32),
                                  ("neuron", kind, opts),

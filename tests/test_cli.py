@@ -299,6 +299,17 @@ def test_bench_negative_seed_exits_2(tmp_path, capsys):
     assert not (out_dir / "bench-manifest.json").exists()
 
 
+def test_bench_out_into_a_missing_directory(tmp_path):
+    out_dir, csv_path = tmp_path / "bench", tmp_path / "new" / "sub" / "b.csv"
+    assert _run(["bench", "--n-values", "4", "--t-values", "2", "--iters",
+                 "3", "--out", str(csv_path),
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    assert csv_path.read_text().startswith("neuron_kind,")
+    manifest = _read_json(out_dir / "bench-manifest.json")
+    assert manifest["results"]["records"] == 2
+    assert manifest["outputs"]["csv"] == str(csv_path)
+
+
 def test_train_replay_of_a_negative_seed_exits_2(train_run, tmp_path,
                                                   capsys):
     run = _mistyped_run(train_run, tmp_path, 0, "config.seed", -1)
@@ -475,24 +486,36 @@ def test_train_rejects_bad_data_spec(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_train_on_idx_directory(tmp_path):
+def _idx_dir(tmp_path, labels):
+    """A directory of 8x8 IDX images with the given labels."""
     import struct
     data_dir = tmp_path / "data"
     data_dir.mkdir()
-    rng = np.random.default_rng(0)
-    imgs = rng.integers(0, 255, size=(24, 8, 8), dtype=np.uint8)
-    labels = np.tile([0, 1], 12).astype(np.uint8)
+    n = len(labels)
+    imgs = np.random.default_rng(0).integers(0, 255, size=(n, 8, 8),
+                                             dtype=np.uint8)
     (data_dir / "images.idx").write_bytes(
-        struct.pack(">IIII", 0x803, 24, 8, 8) + imgs.tobytes())
+        struct.pack(">IIII", 0x803, n, 8, 8) + imgs.tobytes())
     (data_dir / "labels.idx").write_bytes(
-        struct.pack(">II", 0x801, 24) + labels.tobytes())
+        struct.pack(">II", 0x801, n) + np.uint8(labels).tobytes())
+    return data_dir
 
+
+def test_train_on_idx_directory(tmp_path):
+    data_dir = _idx_dir(tmp_path, np.tile([0, 1], 12))
     out_dir = tmp_path / "idx-run"
     code = _run(["train", "--data", f"idx:{data_dir}", "--neuron", "lif",
                  "--epochs", "1", "--classes", "2", "--hidden", "8",
                  "--out-dir", str(out_dir)])
     assert code == EXIT_OK
     assert (out_dir / "history.txt").exists()
+
+
+def test_train_on_one_class_exits_2_before_a_manifest(tmp_path, capsys):
+    data_dir = _idx_dir(tmp_path, np.zeros(8))
+    _assert_rejected_before_training(["--data", f"idx:{data_dir}"],
+                                     tmp_path / "run", capsys,
+                                     "at least 2 classes")
 
 
 # ------------------------------------------------------- mirrored literals

@@ -10,7 +10,7 @@ bug in the reader, and exit 1 is reserved for a failed verify suite.
 
 The argv fuzz swaps the flag values of tiny ``train``, ``eval``, ``bench``
 and ``verify`` runs for edge tokens, or repeats a flag with one. Each must
-end in exit 0, 2 or 3.
+end in exit 0, 2 or 3, and an exit 2 must have written no manifest.
 """
 
 import json
@@ -222,15 +222,18 @@ def test_fuzzed_flags_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
     assert main(["train", "--epochs", "1", "--classes", "2",
                  "--samples-per-class", "2", "--hidden", "2",
                  "--out-dir", str(run_dir)]) == EXIT_OK
-    # Every later file stays in memory; relative paths land in tmp_path.
+    # Every later file stays in memory, in ``written``; relative paths land
+    # in tmp_path.
+    written = {}
     for module in (cli, loop, checkpoint):
-        monkeypatch.setattr(module, "write_atomic", {}.__setitem__)
+        monkeypatch.setattr(module, "write_atomic", written.__setitem__)
     monkeypatch.chdir(tmp_path)
     rng = random.Random(18)
     codes = {}
     for command, pairs in _base_argvs(run_dir).items():
         for i in range(_ARGV_CASES[command] + 1):
             argv = _argv(command, _fuzzed(pairs, rng) if i else pairs)
+            written.clear()
             with monkeypatch.context() as env:
                 # Recorded now, so leaving the context undoes what
                 # ``--threads`` writes into the environment.
@@ -238,6 +241,10 @@ def test_fuzzed_flags_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
                     env.setenv(var, os.environ.get(var, ""))
                 code = _exit_code(argv)
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGENCE), argv
+            if code == EXIT_USAGE:
+                manifests = [path for path in written
+                             if str(path).endswith("manifest.json")]
+                assert not manifests, (argv, manifests)
             if not i:
                 assert code == EXIT_OK, argv
             codes.setdefault(command, set()).add(code)

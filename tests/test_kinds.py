@@ -67,20 +67,12 @@ def test_make_draws_like_the_constructors():
     assert m.weight.data.tobytes() == b.weight.data.tobytes()
 
 
-def test_make_passes_vanilla_options():
-    p = make("lif", None, None, {"tau_m": 4.0, "reset_mode": "soft",
-                                 "detach_reset": True})
-    assert (p.kind, p.tau_m, p.reset_mode, p.detach_reset) == \
-        ("lif", 4.0, "soft", True)
-    q = make("if-no-reset", None, None, {"v_th": 0.5})
-    assert (q.kind, q.reset_mode, q.v_th) == ("if", "none", 0.5)
-
-
 def test_make_rejects_bad_requests():
     rng = np.random.default_rng(0)
     with pytest.raises(ContractError, match="unknown neuron kind"):
         make("hodgkin-huxley", 4, rng)
     for kind, opts in (("psn", {"order": 2}), ("lif", {"leak": 0.5}),
+                       ("lif", {"tau_m": 4.0}), ("if", {"reset_mode": "soft"}),
                        ("lif-no-reset", {"reset_mode": "hard"})):
         with pytest.raises(ContractError, match="unknown neuron options"):
             make(kind, 4, rng, opts)

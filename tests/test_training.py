@@ -243,11 +243,12 @@ def test_model_spec_validation():
         ModelSpec(layers=())
     with pytest.raises(ContractError):
         ModelSpec(layers=(("neuron", "psn", {}),), num_steps=4)  # no synapse
-    with pytest.raises(ContractError):
-        ModelSpec(layers=(("linear", 4, 8), ("neuron", "psn", {})))  # no T
-    with pytest.raises(ContractError):
-        ModelSpec(layers=(("linear", 4, 8), ("neuron", "perceptron")),
-                  num_steps=4)
+    # The kind registry checks the kind and T when the model is built.
+    with pytest.raises(ContractError, match="time steps"):
+        Model(ModelSpec(layers=(("linear", 4, 8), ("neuron", "psn", {}))), 4)
+    with pytest.raises(ContractError, match="unknown neuron kind"):
+        Model(ModelSpec(layers=(("linear", 4, 8), ("neuron", "perceptron")),
+                        num_steps=4), 4)
     with pytest.raises(ContractError):
         ModelSpec(layers=(("linear", 4),))
     with pytest.raises(ContractError):

@@ -8,7 +8,7 @@ from psn.errors import ContractError
 from psn.neurons import (VanillaNeuronParams, apply_reset, charge,
                         heaviside_surrogate, parallel_no_reset,
                         vanilla_sequence, vanilla_step)
-from psn.tensor import (Tape, Tensor, add, mul, scalar_affine, split_rows,
+from psn.tensor import (Tape, Tensor, add, mul, scale, split_rows,
                         stack_rows, sum_all)
 
 
@@ -196,10 +196,10 @@ def test_detached_reset_gradient_matches_a_loop_oracle(kind, reset_mode):
             h = charge(x_t, v, p)
             s = heaviside_surrogate(h, p.v_th, relaxed=True)
             if reset_mode == "hard":  # h + s (v_reset - h)
-                v = add(h, mul(Tensor(s.data),
-                               scalar_affine(h, -1.0, p.v_reset)))
+                v_reset = Tensor(np.full(h.data.shape, p.v_reset))
+                v = add(h, mul(Tensor(s.data), add(scale(h, -1.0), v_reset)))
             else:  # h - v_th s
-                v = add(h, scalar_affine(Tensor(s.data), -p.v_th, 0.0))
+                v = add(h, scale(Tensor(s.data), -p.v_th))
             spikes.append(s)
         return stack_rows(spikes)
 
@@ -218,10 +218,9 @@ def test_detached_reset_gradient_matches_a_loop_oracle(kind, reset_mode):
 @pytest.mark.parametrize("kind", ["if", "lif"])
 @pytest.mark.parametrize("T", [1, 2, 16])
 def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode):
-    # split_rows and stack_rows, then charge (IF: add; LIF: two
-    # scalar_affine and an add), fire and reset per step. The first LIF
-    # step records no scalar_affine of the zero initial potential, which
-    # needs no grad.
+    # split_rows and stack_rows, then charge (IF: add; LIF: two scale and
+    # an add), fire and reset per step. The first LIF step records no scale
+    # of the zero initial potential, which needs no grad.
     p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
     x = Tensor(np.ones((T, 3)), requires_grad=True)
     with Tape() as tape:
