@@ -22,6 +22,7 @@ import argparse
 import datetime
 import json
 import os
+import resource
 import sys
 
 from .atomic import write_atomic
@@ -83,6 +84,8 @@ class Manifest:
 
     ``threads`` echoes the requested cap; ``blas_threads_effective`` and
     ``blas_build`` record what numpy's OpenBLAS actually runs with.
+    ``finish`` adds ``resources``: the process's peak resident set and the
+    minor page faults taken since the manifest was made.
     """
 
     def __init__(self, path, command, config, seed, threads):
@@ -90,6 +93,7 @@ class Manifest:
 
         blas_threads, blas_build = _openblas()
         self.path = path
+        self.start_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         self.body = {
             "command": command,
             "version": __version__,
@@ -110,6 +114,10 @@ class Manifest:
 
     def finish(self, results=None):
         self.body["end_time"] = _now()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.body["resources"] = {
+            "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux counts KiB
+            "minor_faults": usage.ru_minflt - self.start_faults}
         if results is not None:
             self.body["results"] = results
         self.write()
@@ -207,6 +215,7 @@ def build_parser():
 def cmd_bench(args):
     from .bench import (BenchConfig, grid_table, measure_memory,
                         memory_summary, run_bench, to_csv)
+    from .errors import ContractError
 
     cfg = BenchConfig(
         neuron_kinds=tuple(args.kinds.split(",")),
@@ -219,7 +228,10 @@ def cmd_bench(args):
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = args.out or os.path.join(args.out_dir, "bench.csv")
-    os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
+    csv_dir = os.path.dirname(os.path.abspath(csv_path))
+    os.makedirs(csv_dir, exist_ok=True)
+    if os.path.isdir(csv_path) or not os.access(csv_dir, os.W_OK):
+        raise ContractError(f"--out {csv_path}: not a writable file path")
     manifest = Manifest(
         os.path.join(args.out_dir, "bench-manifest.json"), "bench",
         config={"mode": cfg.mode, "kinds": list(cfg.neuron_kinds),

@@ -5,15 +5,13 @@ from .parallel import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                        spsn_forward)
 from .surrogate import heaviside_surrogate, smooth_step
 from .trace import SpikeTrace
-from .vanilla import (VanillaNeuronParams, apply_reset, charge,
-                      parallel_no_reset, vanilla_sequence, vanilla_step)
+from .vanilla import VanillaNeuronParams, parallel_no_reset, vanilla_sequence
 
 __all__ = [
     "KINDS", "ORDER_KINDS", "make",
     "heaviside_surrogate", "smooth_step",
     "SpikeTrace",
-    "VanillaNeuronParams", "charge", "apply_reset", "vanilla_step",
-    "vanilla_sequence", "parallel_no_reset",
+    "VanillaNeuronParams", "vanilla_sequence", "parallel_no_reset",
     "PSNParams", "MaskedPSNParams", "SlidingPSNParams",
     "psn_forward", "masked_psn_forward", "spsn_forward",
     "build_mask", "blend_mask", "lambda_schedule", "spsn_build_A",

@@ -4,9 +4,9 @@ Every kind is a parameter object with a ``forward(x, *, relaxed=False)``
 method, which returns a SpikeTrace for a (T, N) input, and a ``names``
 tuple of its learnable tensors as checkpoints name them. The module-level
 forwards take ``(x, p, *, relaxed=False)``. The IF/LIF kinds take no
-options: ``if``/``lif`` are the hard-reset ``VanillaNeuronParams`` defaults,
-and the reset-free kinds the same with ``reset_mode`` "none", which their
-``forward`` runs as one whole-sequence recurrence.
+options: ``if``/``lif`` are ``VanillaNeuronParams`` with the hard reset
+(to +0.0), and the reset-free kinds the same with ``reset_mode`` "none",
+which their ``forward`` runs as one whole-sequence recurrence.
 """
 
 from __future__ import annotations

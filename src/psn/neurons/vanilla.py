@@ -3,24 +3,20 @@
 The serial dynamics are the classic three stages per time step: charge
 (IF: H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
 resting potential 0), fire (Theta against v_th with surrogate gradient),
-reset (hard: jump to v_reset; soft: subtract v_th; none: V = H). Initial
-potential is 0.
+reset (hard: jump to v_reset; none: V = H). Initial potential is 0. The
+constants are fixed: tau_m 2, v_th 1 and v_reset +0.0.
 
 With reset_mode "none" the charge is the fixed linear recurrence
 H[t] = decay * H[t-1] + scale * X[t] (IF: (1, 1); LIF: (1 - 1/tau_m,
 1/tau_m)), and ``parallel_no_reset`` charges and fires the whole sequence
 as one taped op with a hand-written backward, walking row blocks that stay
-in cache, instead of a taped op per step. Any reset makes the recurrence
-nonlinear in the spikes, so asking for a parallel reset path is a contract
-error by design, not a missing feature.
-
-``detach_reset`` blocks the gradient through the S[t] that appears inside
-the reset equation only; the emitted spike keeps its surrogate gradient.
+in cache, instead of a taped op per step. The hard reset makes the
+recurrence nonlinear in the spikes, so asking for a parallel reset path is
+a contract error by design, not a missing feature.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,26 +30,19 @@ from .trace import SpikeTrace
 @dataclass
 class VanillaNeuronParams:
     kind: str = "lif"  # "if" | "lif"
-    tau_m: float = 2.0
-    v_th: float = 1.0
-    v_reset: float = 0.0
-    reset_mode: str = "hard"  # "hard" | "soft" | "none"
-    detach_reset: bool = False
+    reset_mode: str = "hard"  # "hard" | "none"
 
+    # Constants, not fields: every kind runs at these values.
+    tau_m = 2.0
+    v_th = 1.0
+    v_reset = 0.0
     names = ()  # no learnable tensors
 
     def __post_init__(self):
         if self.kind not in ("if", "lif"):
             raise ContractError(f"unknown vanilla neuron kind {self.kind!r}")
-        if self.reset_mode not in ("hard", "soft", "none"):
+        if self.reset_mode not in ("hard", "none"):
             raise ContractError(f"unknown reset_mode {self.reset_mode!r}")
-        if self.kind == "lif" and not self.tau_m > 1:
-            raise ContractError(
-                f"LIF needs tau_m > 1, got {self.tau_m}")
-        if self.reset_mode == "hard" and not self.v_th > self.v_reset:
-            raise ContractError(
-                f"hard reset needs v_th > v_reset, got v_th={self.v_th}, "
-                f"v_reset={self.v_reset}")
 
     def forward(self, x, *, relaxed=False):
         if self.reset_mode == "none":
@@ -61,58 +50,27 @@ class VanillaNeuronParams:
         return vanilla_sequence(x, self, relaxed=relaxed)
 
 
-def charge(x_t, v_prev, p):
-    """One charge step, Eq.-for-Eq. the iterative form."""
-    if p.kind == "if":
-        return add(v_prev, x_t)
-    inv = 1.0 / p.tau_m
-    return add(scale(v_prev, 1.0 - inv), scale(x_t, inv))
-
-
 def apply_reset(h, s, p, relaxed=False):
-    """Post-spike membrane update, fused into one taped op per step.
+    """Hard reset to v_reset = +0.0 after a spike, one taped op per step.
 
-    The exact hard reset is a select: any nonzero spike (NaN included)
-    yields v_reset, and a zero spike (-0.0 included) passes the charge
-    through bit for bit, inf and NaN charges too (``_select_reset``).
+    The exact reset is a select: any nonzero spike (NaN included) yields
+    +0.0, and a zero spike (-0.0 included) passes the charge through bit
+    for bit, inf and NaN charges too (``_select_reset``).
 
-    ``relaxed`` keeps the hard reset in its algebraic form h + s*(v_r - h)
-    so a fractional spike value resets fractionally; on binary s it differs
-    from the select only by rounding in the s=1 case. The backward below is
-    the derivative of the algebraic form either way.
+    ``relaxed`` keeps the reset in its algebraic form h + s*(v_r - h) so a
+    fractional spike value resets fractionally; on binary s it differs from
+    the select only by rounding in the s=1 case. The backward below is the
+    derivative of the algebraic form either way.
     """
-    if p.reset_mode == "none":
-        return h
-
     hd, sd = h.data, s.data
-    detach = p.detach_reset
+    v_reset = hd.dtype.type(p.v_reset)
+    out = hd + sd * (v_reset - hd) if relaxed else _select_reset(hd, sd)
 
-    if p.reset_mode == "hard":
-        v_reset = hd.dtype.type(p.v_reset)
-        if relaxed:
-            out = hd + sd * (v_reset - hd)
-        else:
-            out = _select_reset(hd, sd, v_reset)
-
-        def backward(gouts):
-            g = gouts[0]
-            dh = g * (1.0 - sd) if h.requires_grad else None
-            ds = None
-            if s.requires_grad and not detach:
-                ds = g * (v_reset - hd)
-            return dh, ds
-
-    else:  # soft
-        v_th = hd.dtype.type(p.v_th)
-        out = hd - v_th * sd
-
-        def backward(gouts):
-            g = gouts[0]
-            dh = g if h.requires_grad else None
-            ds = None
-            if s.requires_grad and not detach:
-                ds = g * (-v_th)
-            return dh, ds
+    def backward(gouts):
+        g = gouts[0]
+        dh = g * (1.0 - sd) if h.requires_grad else None
+        ds = g * (v_reset - hd) if s.requires_grad else None
+        return dh, ds
 
     return taped_op((h, s), out, backward)
 
@@ -123,46 +81,36 @@ _BITS = {np.dtype(np.float16): np.dtype(np.uint16),
          np.dtype(np.float64): np.dtype(np.uint64)}
 
 
-def _select_reset(hd, sd, v_reset):
-    """Bit-exact np.where(sd, v_reset, hd), without a branch per element.
+def _select_reset(hd, sd):
+    """Bit-exact np.where(sd, +0.0, hd), without a branch per element.
 
-    On the floats' unsigned integer bits it is
-    ((bits(hd) ^ bits(v_reset)) * keep) ^ bits(v_reset) with keep = (sd == 0);
-    np.where instead branches per element, and scattered spikes make that
-    branch mispredict. The result owns its buffer, as np.where's did, so the
-    allocation tracker counts it.
+    +0.0 has no bit set, so on the floats' unsigned integer bits it is
+    bits(hd) * (sd == 0); np.where instead branches per element, and
+    scattered spikes make that branch mispredict. The result owns its
+    buffer, as np.where's did, so the allocation tracker counts it.
     """
     bits = _BITS[hd.dtype]
     out = np.empty_like(hd)
-    obits = out.view(bits)
-    keep = np.equal(sd, 0)
-    if v_reset == 0 and math.copysign(1.0, v_reset) > 0:
-        # +0.0 has no bit set, so both xors would be copies.
-        np.multiply(hd.view(bits), keep, out=obits)
-    else:
-        vbits = v_reset.view(bits)
-        np.bitwise_xor(hd.view(bits), vbits, out=obits)
-        np.multiply(obits, keep, out=obits)
-        np.bitwise_xor(obits, vbits, out=obits)
+    np.multiply(hd.view(bits), np.equal(sd, 0), out=out.view(bits))
     return out
 
 
-def vanilla_step(x_t, v_prev, p, *, relaxed=False):
-    """(spike, new potential, charge) for one time step."""
-    h = charge(x_t, v_prev, p)
-    s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
-    v = apply_reset(h, s, p, relaxed=relaxed)
-    return s, v, h
-
-
 def vanilla_sequence(x, p, *, relaxed=False):
-    """Run the serial loop over the leading time axis of ``x``."""
+    """Run the serial loop over the leading time axis of ``x``: per step
+    one charge (IF: an add; LIF: two scales and an add), a fire and, unless
+    reset_mode is "none", a reset."""
     rows = split_rows(x)
     v = Tensor(np.zeros(rows[0].data.shape, dtype=x.data.dtype))
+    inv = 1.0 / p.tau_m
     s_rows = []
     h_rows = []
     for x_t in rows:
-        s, v, h = vanilla_step(x_t, v, p, relaxed=relaxed)
+        if p.kind == "if":
+            h = add(v, x_t)
+        else:
+            h = add(scale(v, 1.0 - inv), scale(x_t, inv))
+        s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
+        v = h if p.reset_mode == "none" else apply_reset(h, s, p, relaxed)
         s_rows.append(s)
         h_rows.append(h)
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
@@ -248,8 +196,9 @@ def parallel_no_reset(x, p, *, relaxed=False):
     whose outputs are the charge h and the spikes s, so ``trace.h`` stays
     differentiable.
 
-    Requires reset_mode "none": resetting couples H[t] to the spike history
-    nonlinearly, so the charge is no longer a fixed linear recurrence.
+    Requires reset_mode "none": the hard reset couples H[t] to the spike
+    history nonlinearly, so the charge is no longer a fixed linear
+    recurrence.
     """
     if p.reset_mode != "none":
         raise ContractError(

@@ -327,7 +327,6 @@ def _grad_case_builders():
         "spsn": spsn_case,
         "if-hard": vanilla_case("if", "hard"),
         "lif-hard": vanilla_case("lif", "hard"),
-        "lif-soft": vanilla_case("lif", "soft"),
         "if-no-reset": vanilla_case("if", "none"),
         "lif-no-reset": vanilla_case("lif", "none"),
         # From T=32 on, the fully masked and the sliding charge run as

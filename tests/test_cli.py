@@ -134,6 +134,15 @@ def test_train_writes_the_run_directory(train_run):
     assert history.count("\ttrain\tloss\t") == 2
 
 
+def test_finished_train_manifest_records_its_resources(train_run):
+    resources = _read_json(train_run / "manifest.json")["resources"]
+    assert set(resources) == {"peak_rss_mb", "minor_faults"}
+    assert type(resources["peak_rss_mb"]) is float
+    assert resources["peak_rss_mb"] > 0
+    assert type(resources["minor_faults"]) is int
+    assert resources["minor_faults"] >= 0
+
+
 def test_manifest_replay_is_bit_identical(train_run, tmp_path):
     rerun = tmp_path / "rerun"
     code = _run(["train", "--from-manifest",
@@ -308,6 +317,16 @@ def test_bench_out_into_a_missing_directory(tmp_path):
     manifest = _read_json(out_dir / "bench-manifest.json")
     assert manifest["results"]["records"] == 2
     assert manifest["outputs"]["csv"] == str(csv_path)
+
+
+def test_bench_out_that_is_a_directory_exits_2_before_a_manifest(tmp_path):
+    out_dir, taken = tmp_path / "bench", tmp_path / "isdir"
+    taken.mkdir()
+    assert _run(["bench", "--n-values", "4", "--t-values", "2", "--iters",
+                 "3", "--out", str(taken),
+                 "--out-dir", str(out_dir)]) == EXIT_USAGE
+    assert not (out_dir / "bench-manifest.json").exists()
+    assert os.listdir(taken) == []
 
 
 def test_train_replay_of_a_negative_seed_exits_2(train_run, tmp_path,

@@ -49,7 +49,7 @@ def test_per_step_threshold_is_a_row_rule():
 
 def test_dense_weights_subsume_lif_without_reset():
     # W[t][i] = (1/tau)(1 - 1/tau)^(t-i) reproduces the leaky recurrence.
-    T, tau = 16, 2.0
+    T, tau = 16, VanillaNeuronParams.tau_m
     t = np.arange(T)
     w = np.where(t[:, None] >= t[None, :],
                  (1 / tau) * (1 - 1 / tau) ** (t[:, None] - t[None, :]), 0.0)
@@ -58,8 +58,7 @@ def test_dense_weights_subsume_lif_without_reset():
 
     psn_trace = psn_forward(Tensor(x), _psn(w, np.ones(T)))
     lif_trace = vanilla_sequence(
-        Tensor(x), VanillaNeuronParams(kind="lif", tau_m=tau,
-                                       reset_mode="none"))
+        Tensor(x), VanillaNeuronParams(kind="lif", reset_mode="none"))
     np.testing.assert_allclose(psn_trace.h.data, lif_trace.h.data, atol=1e-5)
     np.testing.assert_array_equal(psn_trace.s.data, lif_trace.s.data)
 

@@ -51,7 +51,7 @@ def test_prefix_sum_matches_cumsum_t64():
 
 def test_linrec_halving_impulse():
     # tau = 2: decay 0.5, input scale 0.5.
-    p = VanillaNeuronParams(kind="lif", tau_m=2.0, reset_mode="none")
+    p = VanillaNeuronParams(kind="lif", reset_mode="none")
     h = parallel_no_reset(Tensor(np.array([[1.0], [0.0], [0.0]])), p).h
     np.testing.assert_allclose(h.data[:, 0], [0.5, 0.25, 0.125], rtol=1e-12)
 
@@ -88,9 +88,9 @@ def test_linrec_backward_matches_fd():
     rng = np.random.default_rng(16)
     x0 = rng.standard_normal((9, 3))
     proj = rng.standard_normal((9, 3))
-    # LIF at tau_m 2.5 is decay 0.6, scale 0.4; IF is decay 1, scale 1.
-    for kind, decay, scale in (("lif", 0.6, 0.4), ("if", 1.0, 1.0)):
-        p = VanillaNeuronParams(kind=kind, tau_m=2.5, reset_mode="none")
+    # LIF at tau_m 2 is decay 0.5, scale 0.5; IF is decay 1, scale 1.
+    for kind, decay, scale in (("lif", 0.5, 0.5), ("if", 1.0, 1.0)):
+        p = VanillaNeuronParams(kind=kind, reset_mode="none")
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:
             h = parallel_no_reset(x, p).h
@@ -168,7 +168,7 @@ def test_fused_shapes_cover_each_kind_of_block():
 @pytest.mark.parametrize("kind", ["if", "lif"])
 def test_fused_op_is_bit_identical_to_two_ops(kind, dtype, shape, loss,
                                               relaxed):
-    p = VanillaNeuronParams(kind=kind, tau_m=2.5, reset_mode="none")
+    p = VanillaNeuronParams(kind=kind, reset_mode="none")
     rng = np.random.default_rng([17, len(shape), shape[0]])
     x0 = (rng.standard_normal(shape) * 1.5).astype(dtype)
 

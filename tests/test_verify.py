@@ -158,33 +158,28 @@ def test_grad_suite_checks_the_fused_reset_free_backward(monkeypatch):
     assert failed == {"(case=if-no-reset", "(case=lif-no-reset"}
 
 
-def test_grad_harness_detects_a_wrong_gradient():
-    """Detaching the reset changes real gradients; finite differences on
-    the relaxed forward side with the honest backward and reject the
-    detached one. Same relaxed-closure machinery the suite runs on."""
+def test_grad_harness_detects_a_wrong_gradient(monkeypatch):
+    """A hard-reset backward whose charge gradient g*(1 - s) comes out 1.1
+    times too large; finite differences on the relaxed forward side with
+    the honest backward and reject the skewed one. Same relaxed-closure
+    machinery the suite runs on."""
     from psn.neurons import VanillaNeuronParams, vanilla_sequence
-    from psn.tensor import Tape, Tensor, mul, sum_all
+    from psn.tensor import Tape, mul, sum_all, taped_op
 
     rng = np.random.default_rng(90)
     x0 = rng.standard_normal((5, 3))
     proj = rng.standard_normal((5, 3))
-    honest = VanillaNeuronParams(kind="lif", reset_mode="hard")
-    detached = VanillaNeuronParams(kind="lif", reset_mode="hard",
-                                   detach_reset=True)
+    p = VanillaNeuronParams(kind="lif", reset_mode="hard")
 
-    def tape_grad(params):
+    def tape_grad():
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:
-            trace = vanilla_sequence(x, params, relaxed=True)
+            trace = vanilla_sequence(x, p, relaxed=True)
             tape.backward(sum_all(mul(trace.s, Tensor(proj))))
         return x.grad
 
-    g_honest = tape_grad(honest)
-    g_detached = tape_grad(detached)
-    assert np.max(np.abs(g_honest - g_detached)) > 1e-3
-
     def relaxed_loss(xv):
-        trace = vanilla_sequence(Tensor(xv), honest, relaxed=True)
+        trace = vanilla_sequence(Tensor(xv), p, relaxed=True)
         return float((trace.s.data * proj).sum())
 
     eps = 1e-6
@@ -195,9 +190,23 @@ def test_grad_harness_detects_a_wrong_gradient():
         xm = x0.copy()
         xm[i] -= eps
         fd[i] = (relaxed_loss(xp) - relaxed_loss(xm)) / (2 * eps)
+    g_honest = tape_grad()
+    loss = relaxed_loss(x0)
+
+    apply_reset = vanilla.apply_reset
+
+    def skewed_reset(h, s, p, relaxed=False):
+        # Same forward; the charge enters through an identity op whose
+        # backward scales the reset's dh by 1.1.
+        h = taped_op((h,), h.data, lambda gouts: (1.1 * gouts[0],))
+        return apply_reset(h, s, p, relaxed)
+
+    monkeypatch.setattr(vanilla, "apply_reset", skewed_reset)
+    g_skewed = tape_grad()
+    assert relaxed_loss(x0) == loss
 
     np.testing.assert_allclose(g_honest, fd, rtol=1e-3, atol=1e-8)
-    assert np.max(np.abs(g_detached - fd)) > 1e-3
+    assert np.max(np.abs(g_skewed - fd)) > 1e-3
 
 
 def test_run_suites_by_name():
