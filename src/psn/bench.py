@@ -2,15 +2,17 @@
 
 Two grids (inference and training) time every requested neuron kind against
 the serial hard-reset LIF loop, which is the baseline every ratio is computed
-from. The memory probe runs one training step of the same synapse stack with
-no neuron, an IF neuron, and a dense parallel neuron, under the library's own
-buffer accounting, and reports beside it the real peak that ``tracemalloc``
-sees over the same step (numpy reports its buffers to it; it is not RSS).
+from: in inference the in-place loop, in training the taped loop. The memory
+probe runs one training step of the same synapse stack with no neuron, an IF
+neuron, and a dense parallel neuron, under the library's own buffer
+accounting, and reports beside it the real peak that ``tracemalloc`` sees
+over the same step (numpy reports its buffers to it; it is not RSS).
 
 Caveats that keep these numbers honest: everything here is CPU wall time in a
 single process, so the ratios are directional and machine-dependent. The
-serial baseline pays one tape entry per time step; the parallel kinds pay one
-matmul. That asymmetry is the point being measured, not an unfairness.
+serial baseline pays T steps (in training, a tape entry per stage and step);
+the parallel kinds pay one matmul. That asymmetry is the point being
+measured, not an unfairness.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ The serial dynamics are the classic three stages per time step: charge
 (IF: H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
 resting potential 0), fire (Theta against v_th with surrogate gradient),
 reset (hard: jump to v_reset; none: V = H). Initial potential is 0. The
-constants are fixed: tau_m 2, v_th 1 and v_reset +0.0.
+constants are fixed: tau_m 2, v_th 1 and v_reset +0.0. ``vanilla_sequence``
+runs them in one of two ways with the same bits: a call that a tape records
+takes a taped op per stage and step, and any other call (inference, an
+evaluation, a finite difference) one in-place loop over column blocks.
 
 With reset_mode "none" the charge is the fixed linear recurrence
 H[t] = decay * H[t-1] + scale * X[t] (IF: (1, 1); LIF: (1 - 1/tau_m,
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
-from ..tensor import Tensor, add, scale, split_rows, stack_rows, taped_op
+from ..tensor import (Tensor, active_tape, add, scale, split_rows, stack_rows,
+                      taped_op)
 from .surrogate import _sigma_times, heaviside_surrogate, smooth_step
 from .trace import SpikeTrace
 
@@ -81,26 +85,79 @@ _BITS = {np.dtype(np.float16): np.dtype(np.uint16),
          np.dtype(np.float64): np.dtype(np.uint64)}
 
 
-def _select_reset(hd, sd):
+def _select_reset(hd, sd, out=None):
     """Bit-exact np.where(sd, +0.0, hd), without a branch per element.
 
     +0.0 has no bit set, so on the floats' unsigned integer bits it is
     bits(hd) * (sd == 0); np.where instead branches per element, and
-    scattered spikes make that branch mispredict. The result owns its
-    buffer, as np.where's did, so the allocation tracker counts it.
+    scattered spikes make that branch mispredict. Without ``out`` the
+    result owns its buffer, as np.where's did, so the allocation tracker
+    counts it.
     """
     bits = _BITS[hd.dtype]
-    out = np.empty_like(hd)
+    out = np.empty_like(hd) if out is None else out
     np.multiply(hd.view(bits), np.equal(sd, 0), out=out.view(bits))
     return out
 
 
+# Columns per block of the in-place loop, whose carry and T rows of the
+# block then stay in cache; 8192-column blocks ran slower at T=2.
+_COLS = 1 << 16
+
+
+def _serial_in_place(xd, p, relaxed):
+    """(h, s) arrays of the serial loop, written in place block by block.
+
+    Each step charges into h (the taped loop's operands in its order, from
+    +0.0), fires into s and resets into one reused carry row, so every bit
+    matches the taped loop's. The last step's reset, which nothing reads,
+    is skipped.
+    """
+    h = np.empty(xd.shape, xd.dtype)
+    s = np.empty_like(h)
+    rows = h.reshape(len(h), h[0].size)
+    x, srows = xd.reshape(rows.shape), s.reshape(rows.shape)
+    dtype = xd.dtype.type
+    decay, inv, v_th, v_reset = (dtype(1 - 1 / p.tau_m), dtype(1 / p.tau_m),
+                                 dtype(p.v_th), dtype(p.v_reset))
+    carry = np.empty((2, min(rows.shape[1], _COLS)), xd.dtype)
+    last = len(rows) - 1
+    for a in range(0, rows.shape[1], _COLS):
+        block = slice(a, a + _COLS)
+        v, xs = carry[:, :rows[0, block].size]
+        v.fill(0)
+        steps = zip(x[:, block], rows[:, block], srows[:, block])
+        for t, (x_t, h_t, s_t) in enumerate(steps):
+            if p.kind == "if":
+                np.add(v, x_t, h_t)
+            else:
+                np.multiply(v, decay, h_t)
+                np.add(h_t, np.multiply(x_t, inv, xs), h_t)
+            if relaxed:
+                s_t[...] = smooth_step(h_t - v_th)
+            else:
+                np.greater_equal(h_t, v_th, s_t)
+            if p.reset_mode == "none" or t == last:
+                v = h_t
+            elif relaxed:
+                np.add(h_t, s_t * (v_reset - h_t), v)
+            else:
+                _select_reset(h_t, s_t, v)
+    return h, s
+
+
 def vanilla_sequence(x, p, *, relaxed=False):
-    """Run the serial loop over the leading time axis of ``x``: per step
-    one charge (IF: an add; LIF: two scales and an add), a fire and, unless
-    reset_mode is "none", a reset."""
+    """Run the serial loop over the leading time axis of ``x``. A call that
+    records (x requires grad, a tape is active) tapes per step a charge (IF:
+    an add; LIF: two scales and an add), a fire and, unless reset_mode is
+    "none", a reset; any other call runs ``_serial_in_place``."""
+    if x.data.ndim == 0 or x.data.shape[0] == 0:
+        raise ContractError("vanilla_sequence needs a non-empty time axis")
+    if not x.requires_grad or active_tape() is None:
+        h, s = _serial_in_place(x.data, p, relaxed)
+        return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
     rows = split_rows(x)
-    v = Tensor(np.zeros(rows[0].data.shape, dtype=x.data.dtype))
+    v = Tensor._make(np.zeros(rows[0].data.shape, x.data.dtype), False)
     inv = 1.0 / p.tau_m
     s_rows = []
     h_rows = []

@@ -105,7 +105,7 @@ def _subsumption_weight(kind, T):
     step = (t[:, None] >= t[None, :]).astype(float)
     if kind == "if":
         return step
-    tau = 2.0
+    tau = VanillaNeuronParams.tau_m
     return (1.0 / tau) * (1.0 - 1.0 / tau) ** (t[:, None] - t[None, :]) * step
 
 

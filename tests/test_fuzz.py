@@ -9,8 +9,9 @@ input must end in exit 2 (a clean ``ParseError``/``ContractError``/
 bug in the reader, and exit 1 is reserved for a failed verify suite.
 
 The argv fuzz swaps the flag values of tiny ``train``, ``eval``, ``bench``
-and ``verify`` runs for edge tokens, or repeats a flag with one. Each must
-end in exit 0, 2 or 3, and an exit 2 must have written no manifest.
+and ``verify`` runs for edge tokens, an existing directory among them, or
+repeats a flag with one. Each must end in exit 0, 2 or 3, and an exit 2
+must have written no manifest.
 """
 
 import json
@@ -151,8 +152,11 @@ def test_mutated_manifests_replay_with_exit_0_or_2(runs, capsys,
 # ------------------------------------------------------------- argv fuzz
 
 # Negative, zero, past every numpy dimension, not a number, infinite,
-# empty, non-ASCII and a negative zero.
-_EDGE_TOKENS = ("-1", "0", str(2 ** 64), "nan", "inf", "", "\u00e9", "-0")
+# empty, non-ASCII, a negative zero and an existing directory (made in the
+# working directory by the test).
+_DIR_TOKEN = "isdir"
+_EDGE_TOKENS = ("-1", "0", str(2 ** 64), "nan", "inf", "", "\u00e9", "-0",
+                _DIR_TOKEN)
 # A large valid iteration or thread count would run for ever or start that
 # many threads, so these flags get only invalid tokens and small values.
 _COUNT_FLAGS = ("--epochs", "--iters", "--warmup", "--threads")
@@ -228,6 +232,7 @@ def test_fuzzed_flags_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
     for module in (cli, loop, checkpoint):
         monkeypatch.setattr(module, "write_atomic", written.__setitem__)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / _DIR_TOKEN).mkdir()
     rng = random.Random(18)
     codes = {}
     for command, pairs in _base_argvs(run_dir).items():

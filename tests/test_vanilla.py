@@ -1,4 +1,5 @@
-"""Step-form IF/LIF neurons: hand-computed traces, serial vs whole-sequence."""
+"""Step-form IF/LIF neurons: hand-computed traces, the taped vs the in-place
+serial loop, serial vs whole-sequence."""
 
 import dataclasses
 
@@ -8,9 +9,9 @@ import pytest
 from psn.bench import measure_memory, memory_summary
 from psn.errors import ContractError
 from psn.neurons import (VanillaNeuronParams, parallel_no_reset,
-                         vanilla_sequence)
+                         vanilla, vanilla_sequence)
 from psn.neurons.vanilla import apply_reset
-from psn.tensor import Tape, Tensor
+from psn.tensor import Tape, Tensor, no_tape
 
 
 def _col(values):
@@ -158,19 +159,102 @@ def test_relaxed_hard_reset_interpolates_fractional_spikes():
 @pytest.mark.parametrize("reset_mode", ["hard", "none"])
 @pytest.mark.parametrize("kind", ["if", "lif"])
 @pytest.mark.parametrize("T", [1, 2, 16])
-def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode):
-    # split_rows and stack_rows, then charge (IF: add; LIF: two scale and
-    # an add), fire and, if hard, reset per step. The first LIF step records
-    # no scale of the zero initial potential, which needs no grad.
+def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode,
+                                                        monkeypatch):
+    # A call records when x requires grad and a tape is active: split_rows
+    # and stack_rows, then charge (IF: add; LIF: two scale and an add), fire
+    # and, if hard, reset per step. The first LIF step records no scale of
+    # the zero initial potential, which needs no grad. Any other call,
+    # evaluate()'s requires-grad input under no_tape() included, runs the
+    # in-place loop.
+    calls = []
+    in_place = vanilla._serial_in_place
+    monkeypatch.setattr(vanilla, "_serial_in_place",
+                        lambda *a: calls.append(a) or in_place(*a))
     p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
     x = Tensor(np.ones((T, 3)), requires_grad=True)
     with Tape() as tape:
         vanilla_sequence(x, p)
     reset = T if reset_mode == "hard" else 0
     assert len(tape) == {"if": 2 * T + 2, "lif": 4 * T + 1}[kind] + reset
+    assert not calls
     with Tape() as tape:
         vanilla_sequence(Tensor(np.ones((T, 3))), p)
+        with no_tape():
+            vanilla_sequence(x, p)
+    vanilla_sequence(x, p)
     assert len(tape) == 0
+    assert len(calls) == 3
+
+
+def _serial_input(shape, dtype):
+    """Spiking-range values with NaN, +-inf, -0.0 and +-subnormals among
+    them, at steps and columns fixed by the shape."""
+    rng = np.random.default_rng([41, *shape])
+    x = (1.5 * rng.standard_normal(shape)).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, tiny, -tiny], dtype)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, len(special), replace=False)] = special
+    return x
+
+
+def _assert_same_bits(got, want):
+    for a, b in ((got.h.data, want.h.data), (got.s.data, want.s.data)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(f"u{a.itemsize}"),
+                                      b.view(f"u{b.itemsize}"))
+
+
+def _taped(x, p, relaxed=False):
+    with Tape() as tape:
+        trace = vanilla_sequence(Tensor(x, requires_grad=True, dtype=x.dtype),
+                                 p, relaxed=relaxed)
+    assert len(tape)
+    return trace
+
+
+# With 8-column blocks: one row; N below, at and past a block and not a
+# multiple of it; a (T, B, C) input whose 15 columns span two blocks.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 13), (3, 6), (3, 8), (4, 13),
+                                   (4, 3, 5)])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("reset_mode", ["hard", "none"])
+@pytest.mark.parametrize("kind", ["if", "lif"])
+def test_in_place_loop_is_the_taped_loop_bit_for_bit(kind, reset_mode,
+                                                     relaxed, dtype, shape,
+                                                     monkeypatch):
+    monkeypatch.setattr(vanilla, "_COLS", 8)
+    x = _serial_input(shape, dtype)
+    p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
+    free = vanilla_sequence(Tensor(x, dtype=dtype), p, relaxed=relaxed)
+    assert free.h.data.dtype == dtype
+    _assert_same_bits(free, _taped(x, p, relaxed))
+
+
+@pytest.mark.parametrize("kind", ["if", "lif"])
+def test_in_place_loop_crosses_its_column_block_bit_for_bit(kind):
+    x = 1.5 * np.random.default_rng(42).standard_normal(
+        (3, vanilla._COLS + 5), dtype=np.float32)
+    p = VanillaNeuronParams(kind=kind, reset_mode="hard")
+    _assert_same_bits(vanilla_sequence(Tensor(x), p), _taped(x, p))
+
+
+def test_in_place_loop_takes_steps_of_no_columns():
+    x = np.ones((3, 2, 0))
+    p = VanillaNeuronParams(kind="lif", reset_mode="hard")
+    _assert_same_bits(vanilla_sequence(Tensor(x), p), _taped(x, p))
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_serial_rejects_an_empty_time_axis(requires_grad):
+    p = VanillaNeuronParams(kind="if", reset_mode="hard")
+    for shape in ((), (0, 2)):
+        x = Tensor(np.ones(shape), requires_grad=requires_grad)
+        with Tape(), pytest.raises(ContractError):
+            vanilla_sequence(x, p)
 
 
 def test_param_validation():
