@@ -5,8 +5,9 @@ method, which returns a SpikeTrace for a (T, N) input, and a ``names``
 tuple of its learnable tensors as checkpoints name them. The module-level
 forwards take ``(x, p, *, relaxed=False)``. The IF/LIF kinds take no
 options: ``if``/``lif`` are ``VanillaNeuronParams`` with the hard reset
-(to +0.0), and the reset-free kinds the same with ``reset_mode`` "none",
-which their ``forward`` runs as one whole-sequence recurrence.
+(to +0.0), run by ``vanilla_sequence``, and the reset-free kinds the same
+with ``reset_mode`` "none", run by ``parallel_no_reset``; both run one
+array loop over one block walk.
 """
 
 from __future__ import annotations

@@ -1,21 +1,16 @@
-"""Serial IF/LIF neurons, and their reset-free whole-sequence form.
+"""IF/LIF neurons: the hard-reset loop, and the reset-free whole sequence.
 
-The serial dynamics are the classic three stages per time step: charge
-(IF: H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
-resting potential 0), fire (Theta against v_th with surrogate gradient),
-reset (hard: jump to v_reset; none: V = H). Initial potential is 0. The
-constants are fixed: tau_m 2, v_th 1 and v_reset +0.0. ``vanilla_sequence``
-runs them in one of two ways with the same bits: a call that a tape records
-takes a taped op per stage and step, and any other call (inference, an
-evaluation, a finite difference) one in-place loop over column blocks.
-
-With reset_mode "none" the charge is the fixed linear recurrence
-H[t] = decay * H[t-1] + scale * X[t] (IF: (1, 1); LIF: (1 - 1/tau_m,
-1/tau_m)), and ``parallel_no_reset`` charges and fires the whole sequence
-as one taped op with a hand-written backward, walking row blocks that stay
-in cache, instead of a taped op per step. The hard reset makes the
-recurrence nonlinear in the spikes, so asking for a parallel reset path is
-a contract error by design, not a missing feature.
+The dynamics are the classic three stages per time step: charge (IF:
+H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
+resting potential 0), fire (Theta against v_th with surrogate gradient) and
+reset (hard: jump to v_reset; none: V = H), from a potential of 0, with
+tau_m 2, v_th 1 and v_reset +0.0 fixed. Both reset modes run one array
+loop over one (T, M) block walk. ``vanilla_sequence`` runs the hard reset:
+a call that a tape records takes a taped op per stage and step, and any
+other call the array loop, with the same bits. ``parallel_no_reset`` runs
+the reset-free mode, a fixed linear recurrence, as one taped op around the
+array loop, whose backward walks the blocks in reverse. The hard reset makes
+the recurrence nonlinear in the spikes, so each refuses the other's mode.
 """
 
 from __future__ import annotations
@@ -100,91 +95,62 @@ def _select_reset(hd, sd, out=None):
     return out
 
 
-# Columns per block of the in-place loop, whose carry and T rows of the
-# block then stay in cache; 8192-column blocks ran slower at T=2.
-_COLS = 1 << 16
-
-
-def _serial_in_place(xd, p, relaxed):
-    """(h, s) arrays of the serial loop, written in place block by block.
-
-    Each step charges into h (the taped loop's operands in its order, from
-    +0.0), fires into s and resets into one reused carry row, so every bit
-    matches the taped loop's. The last step's reset, which nothing reads,
-    is skipped.
-    """
-    h = np.empty(xd.shape, xd.dtype)
-    s = np.empty_like(h)
-    rows = h.reshape(len(h), h[0].size)
-    x, srows = xd.reshape(rows.shape), s.reshape(rows.shape)
-    dtype = xd.dtype.type
-    decay, inv, v_th, v_reset = (dtype(1 - 1 / p.tau_m), dtype(1 / p.tau_m),
-                                 dtype(p.v_th), dtype(p.v_reset))
-    carry = np.empty((2, min(rows.shape[1], _COLS)), xd.dtype)
-    last = len(rows) - 1
-    for a in range(0, rows.shape[1], _COLS):
-        block = slice(a, a + _COLS)
-        v, xs = carry[:, :rows[0, block].size]
-        v.fill(0)
-        steps = zip(x[:, block], rows[:, block], srows[:, block])
-        for t, (x_t, h_t, s_t) in enumerate(steps):
-            if p.kind == "if":
-                np.add(v, x_t, h_t)
-            else:
-                np.multiply(v, decay, h_t)
-                np.add(h_t, np.multiply(x_t, inv, xs), h_t)
-            if relaxed:
-                s_t[...] = smooth_step(h_t - v_th)
-            else:
-                np.greater_equal(h_t, v_th, s_t)
-            if p.reset_mode == "none" or t == last:
-                v = h_t
-            elif relaxed:
-                np.add(h_t, s_t * (v_reset - h_t), v)
-            else:
-                _select_reset(h_t, s_t, v)
-    return h, s
+def _check_time_axis(xd, caller):
+    if xd.ndim == 0 or len(xd) == 0:
+        raise ContractError(f"{caller} needs a non-empty time axis")
 
 
 def vanilla_sequence(x, p, *, relaxed=False):
-    """Run the serial loop over the leading time axis of ``x``. A call that
-    records (x requires grad, a tape is active) tapes per step a charge (IF:
-    an add; LIF: two scales and an add), a fire and, unless reset_mode is
-    "none", a reset; any other call runs ``_serial_in_place``."""
-    if x.data.ndim == 0 or x.data.shape[0] == 0:
-        raise ContractError("vanilla_sequence needs a non-empty time axis")
+    """Run the hard-reset loop over the leading time axis of ``x``. A call
+    that records (x requires grad, a tape is active) tapes per step a charge
+    (IF: an add; LIF: two scales and an add), a fire and a reset; any other
+    call runs ``_array_loop``."""
+    if p.reset_mode != "hard":
+        raise ContractError("vanilla_sequence runs the hard reset only; the "
+                            "reset-free kinds run parallel_no_reset")
     if not x.requires_grad or active_tape() is None:
-        h, s = _serial_in_place(x.data, p, relaxed)
+        h, s = _array_loop(x.data, p, relaxed, "vanilla_sequence")
         return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
+    _check_time_axis(x.data, "vanilla_sequence")
     rows = split_rows(x)
     v = Tensor._make(np.zeros(rows[0].data.shape, x.data.dtype), False)
     inv = 1.0 / p.tau_m
-    s_rows = []
-    h_rows = []
+    s_rows, h_rows = [], []
     for x_t in rows:
         if p.kind == "if":
             h = add(v, x_t)
         else:
             h = add(scale(v, 1.0 - inv), scale(x_t, inv))
         s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
-        v = h if p.reset_mode == "none" else apply_reset(h, s, p, relaxed)
+        v = apply_reset(h, s, p, relaxed)
         s_rows.append(s)
         h_rows.append(h)
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
 
 
-# Elements per row block of the reset-free op, which scales, carries and
-# fires each block (backward: differentiates, scales and carries it) while
-# it is in L2: one 256 KiB row at N=65536 float32.
-_BLOCK = 1 << 16
+# Columns per block of the array loop and its backward, and about the
+# elements a block holds: one 256 KiB row at N=65536 float32, so a block is
+# charged, fired and carried (or differentiated) while it is in L2.
+_COLS = 1 << 16
 
 
-def _block_rows(rows):
-    """Rows per block of a (T, M) array: all T when one row alone is longer
-    than a block or the array is at most two blocks. Blocked, T=2, N=2^21
-    (8 MiB rows) and T=16, N=8192 ran slower, T=64, N=4096 faster."""
-    step = _BLOCK // max(rows.shape[1], 1)
-    return step if step and rows.size > 2 * _BLOCK else len(rows)
+def _blocks(T, M):
+    """(rows, columns) slices over a (T, M) array: column blocks of at most
+    ``_COLS``, each cut in order into rows enough for about ``_COLS``
+    elements. An array of at most two blocks is one block; blocked, T=16,
+    N=8192 ran slower."""
+    if T * M <= 2 * _COLS:
+        return [(slice(0, T), slice(0, M))]
+    cols = min(M, _COLS)
+    step = _COLS // cols
+    return [(slice(a, min(a + step, T)), slice(c, min(c + cols, M)))
+            for c in range(0, M, cols) for a in range(0, T, step)]
+
+
+def _constants(p, dtype):
+    """(decay, scale, v_th): h[t] = decay * v[t-1] + scale * x[t]."""
+    decay, scale = (1 - 1 / p.tau_m, 1 / p.tau_m) if p.kind == "lif" else (1, 1)
+    return dtype(decay), dtype(scale), dtype(p.v_th)
 
 
 def _recurrence(rows, decay, start, stop, carry):
@@ -202,74 +168,97 @@ def _recurrence(rows, decay, start, stop, carry):
         prev = row
 
 
-def _charge_fire(x, decay, scale, v_th, relaxed=False):
-    """(h, s): h[t] = decay * h[t-1] + scale * x[t] along axis 0 from
-    h[-1] = 0, and s = (h >= v_th), or smooth_step(h - v_th) if relaxed."""
-    h = np.empty(x.shape, x.dtype)
-    rows = h.reshape(len(h), -1)
-    step = _block_rows(rows)
-    s = np.empty_like(h) if step < len(h) else None
-    carry = np.empty_like(rows[0])
-    x = x.reshape(rows.shape)
-
-    def fire(block):
-        return smooth_step(block - v_th) if relaxed else block >= v_th
-
-    for a in range(0, len(h), step):
-        block = rows[a:a + step]
-        np.multiply(x[a:a + step], scale, out=block)
-        _recurrence(rows, decay, a, a + len(block), carry)
-        if s is not None:
-            s.reshape(rows.shape)[a:a + step] = fire(block)
-    return h, fire(h).astype(h.dtype, copy=False) if s is None else s
+def _fire(h, v_th, relaxed, out):
+    """out = (h >= v_th), or smooth_step(h - v_th) if relaxed."""
+    if relaxed:
+        out[...] = smooth_step(h - v_th)
+    else:
+        np.greater_equal(h, v_th, out)
 
 
-def _charge_fire_backward(h, gh, gs, decay, scale, v_th):
-    """d(loss)/dx of ``_charge_fire`` from the gradients of h and s, either
-    of which may be None. Block by block from the last: sigma(h - v_th) *
-    gs + gh, times scale, then the reverse carry; elementwise the surrogate
-    backward's and then the recurrence transpose's operations."""
+def _array_loop(xd, p, relaxed, caller):
+    """(h, s) of ``p`` along axis 0 of ``xd``, written in place block by
+    block; ``caller`` names the public function in an empty input's error.
+
+    Hard: per row, charge into h with the taped loop's operands in its
+    order from a carry of +0.0 (IF adds it unscaled), fire into s and reset
+    into the carry, so every bit is the taped loop's; the last reset, which
+    nothing reads, is skipped. Reset-free: scale a block into h, carry it on
+    from the row before, fire it; so h[0] = scale * x[0], with no +0.0.
+    """
+    _check_time_axis(xd, caller)
+    h = np.empty(xd.shape, xd.dtype)
+    s = np.empty_like(h)
+    hr = h.reshape(len(h), h[0].size)
+    xr, sr = xd.reshape(hr.shape), s.reshape(hr.shape)
+    decay, scale, v_th = _constants(p, xd.dtype.type)
+    blocks = _blocks(*hr.shape)
+    carry = np.empty((2, blocks[0][1].stop), xd.dtype)
+    for rows, cols in blocks:
+        if p.reset_mode == "none":
+            hb = hr[rows, cols]
+            np.multiply(xr[rows, cols], scale, hb)
+            _recurrence(hr[:, cols], decay, rows.start, rows.stop,
+                        carry[0, :hb.shape[1]])
+            _fire(hb, v_th, relaxed, sr[rows, cols])
+            continue
+        if rows.start == 0:
+            v, xs = carry[:, :cols.stop - cols.start]
+            v.fill(0)
+        steps = zip(xr[rows, cols], hr[rows, cols], sr[rows, cols])
+        for t, (x_t, h_t, s_t) in enumerate(steps, rows.start):
+            if p.kind == "if":
+                np.add(v, x_t, h_t)
+            else:
+                np.multiply(v, decay, h_t)
+                np.add(h_t, np.multiply(x_t, scale, xs), h_t)
+            _fire(h_t, v_th, relaxed, s_t)
+            if t == len(h) - 1:
+                continue
+            if relaxed:
+                np.add(h_t, s_t * (p.v_reset - h_t), v)
+            else:
+                _select_reset(h_t, s_t, v)
+    return h, s
+
+
+def _array_loop_backward(h, gh, gs, p):
+    """d(loss)/dx of the reset-free ``_array_loop`` from the gradients of h
+    and s, either may be None. Over its blocks from the last: sigma(h -
+    v_th) * gs + gh, times scale, then the reverse carry; elementwise the
+    surrogate backward's and the recurrence transpose's operations."""
     dx = np.empty(h.shape, h.dtype)
-    rows = dx.reshape(len(h), -1)
+    rows = dx.reshape(len(h), h[0].size)
     h, gh, gs = (None if a is None else a.reshape(rows.shape)
                  for a in (h, gh, gs))
-    step = _block_rows(rows)
-    carry = np.empty_like(rows[0])
-    for a in reversed(range(0, len(h), step)):
-        b = a + step
+    decay, scale, v_th = _constants(p, h.dtype.type)
+    blocks = _blocks(*rows.shape)
+    carry = np.empty(blocks[0][1].stop, h.dtype)
+    for r, c in reversed(blocks):
         if gs is None:
-            d = gh[a:b]
+            d = gh[r, c]
         else:
-            d = _sigma_times(h[a:b] - v_th, gs[a:b])
+            d = _sigma_times(h[r, c] - v_th, gs[r, c])
             if gh is not None:
-                np.add(gh[a:b], d, out=d)
-        np.multiply(d, scale, out=rows[a:b])
-        _recurrence(rows[::-1], decay, len(h) - a - len(d), len(h) - a, carry)
+                np.add(gh[r, c], d, out=d)
+        np.multiply(d, scale, out=rows[r, c])
+        _recurrence(rows[::-1, c], decay, len(h) - r.stop, len(h) - r.start,
+                    carry[:d.shape[1]])
     return dx
 
 
 def parallel_no_reset(x, p, *, relaxed=False):
     """Whole-sequence charge and fire of a reset-free IF/LIF: one taped op
-    whose outputs are the charge h and the spikes s, so ``trace.h`` stays
-    differentiable.
-
-    Requires reset_mode "none": the hard reset couples H[t] to the spike
-    history nonlinearly, so the charge is no longer a fixed linear
-    recurrence.
-    """
+    around ``_array_loop`` whose outputs are the charge h and the spikes s,
+    so ``trace.h`` stays differentiable."""
     if p.reset_mode != "none":
         raise ContractError(
             "reset is not parallelizable: the whole-sequence form only "
             "exists for reset_mode='none'")
-    if x.data.ndim == 0 or x.data.shape[0] == 0:
-        raise ContractError("parallel_no_reset needs a non-empty time axis")
-    decay, scale = (1 - 1 / p.tau_m, 1 / p.tau_m) if p.kind == "lif" else (1, 1)
-    dtype = x.data.dtype.type
-    consts = dtype(decay), dtype(scale), dtype(p.v_th)
-    hd, sd = _charge_fire(x.data, *consts, relaxed)
+    hd, sd = _array_loop(x.data, p, relaxed, "parallel_no_reset")
 
     def backward(gouts):
-        return (_charge_fire_backward(hd, *gouts, *consts),)
+        return (_array_loop_backward(hd, *gouts, p),)
 
     h, s = taped_op((x,), (hd, sd), backward)
     return SpikeTrace(s, h=h)

@@ -6,8 +6,9 @@ import pytest
 from psn.errors import ContractError, ShapeMismatchError
 from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                         VanillaNeuronParams, blend_mask, build_mask,
-                        lambda_schedule, masked_psn_forward, psn_forward,
-                        spsn_build_A, spsn_forward, vanilla_sequence)
+                        lambda_schedule, masked_psn_forward,
+                        parallel_no_reset, psn_forward, spsn_build_A,
+                        spsn_forward)
 from psn import tensor, verify
 from psn.neurons import parallel
 from psn.neurons.surrogate import heaviside_surrogate
@@ -57,7 +58,7 @@ def test_dense_weights_subsume_lif_without_reset():
     x = rng.standard_normal((T, 6))
 
     psn_trace = psn_forward(Tensor(x), _psn(w, np.ones(T)))
-    lif_trace = vanilla_sequence(
+    lif_trace = parallel_no_reset(
         Tensor(x), VanillaNeuronParams(kind="lif", reset_mode="none"))
     np.testing.assert_allclose(psn_trace.h.data, lif_trace.h.data, atol=1e-5)
     np.testing.assert_array_equal(psn_trace.s.data, lif_trace.s.data)
@@ -69,7 +70,7 @@ def test_step_matrix_subsumes_if_without_reset():
     rng = np.random.default_rng(41)
     x = rng.standard_normal((T, 3))
     psn_trace = psn_forward(Tensor(x), _psn(w, np.ones(T)))
-    if_trace = vanilla_sequence(
+    if_trace = parallel_no_reset(
         Tensor(x), VanillaNeuronParams(kind="if", reset_mode="none"))
     np.testing.assert_allclose(psn_trace.h.data, if_trace.h.data, atol=1e-5)
 

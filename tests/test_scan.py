@@ -1,7 +1,8 @@
 """The reset-free charge kernel of ``parallel_no_reset`` against serial oracles.
 
-``_charge_fire`` computes h[t] = decay * h[t-1] + scale * x[t]; IF is the
-(1, 1) case (a prefix sum) and LIF the (1 - 1/tau_m, 1/tau_m) case.
+It computes h[t] = decay * h[t-1] + scale * x[t] with ``_recurrence`` over
+the blocks of ``_blocks``; IF is the (1, 1) case (a prefix sum) and LIF the
+(1 - 1/tau_m, 1/tau_m) case.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from psn.neurons import (VanillaNeuronParams, heaviside_surrogate,
                          parallel_no_reset)
-from psn.neurons.vanilla import _block_rows, _charge_fire
+from psn.neurons import vanilla
 from psn.tensor import Tape, Tensor, add, mul, sum_all, taped_op
 
 
@@ -25,7 +26,10 @@ def _serial_recurrence(x, decay, scale):
 
 
 def _recurrence(x, decay, scale):
-    return _charge_fire(x, decay, scale, 1.0)[0]
+    h = np.multiply(x, scale)
+    rows = h.reshape(len(h), -1)
+    vanilla._recurrence(rows, decay, 0, len(h), np.empty_like(rows[0]))
+    return h
 
 
 def _prefix_sum(x):
@@ -148,17 +152,33 @@ def _layer_and_grad(forward, x0, loss, seed):
     return h.data, s.data, x.grad
 
 
-# Row blocks of 2^16 elements: one row each, 65 rows twice then the last
-# 10, the whole array, and a row larger than a block; then a 1-D input and a
-# 3-D one in blocks of 2 rows.
+# Blocks of 2^16 columns and about 2^16 elements: one row each; 65 rows
+# twice then the last 10; the whole array, which is at most two blocks; a
+# row longer than a block in two column blocks; a 1-D input; a 3-D one in
+# row blocks of 2; no columns at all.
 _FUSED_SHAPES = [(3, 65536), (140, 1000), (16, 2048), (2, 70000), (9,),
-                 (6, 4, 6000)]
+                 (6, 4, 6000), (4, 0)]
 
 
 def test_fused_shapes_cover_each_kind_of_block():
-    steps = [_block_rows(np.empty(shape).reshape(shape[0], -1))
-             for shape in _FUSED_SHAPES]
-    assert steps == [1, 65, 16, 2, 9, 2]
+    # The fused shapes; two blocks' worth as one; 2^21 columns in 32 column
+    # blocks.
+    shapes = [*_FUSED_SHAPES, (16, 8192), (2, 1 << 21)]
+    walks = [vanilla._blocks(shape[0], int(np.prod(shape[1:])))
+             for shape in shapes]
+    # Rows per block, then column blocks.
+    assert [(w[0][0].stop, len({c.start for _, c in w})) for w in walks] == [
+        (1, 1), (65, 1), (16, 1), (1, 2), (9, 1), (2, 1), (4, 1), (16, 1),
+        (1, 32)]
+    for shape, walk in zip(shapes, walks):
+        # Every element once, in order down each column block.
+        T, M = shape[0], int(np.prod(shape[1:]))
+        seen = np.zeros((T, M), int)
+        for rows, cols in walk:
+            assert seen[:rows.start, cols].all() and not seen[rows, cols].any()
+            assert rows.stop <= T and cols.stop <= M
+            seen[rows, cols] += 1
+        assert (seen == 1).all()
 
 
 @pytest.mark.parametrize("relaxed", [False, True])

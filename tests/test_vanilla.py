@@ -1,5 +1,5 @@
-"""Step-form IF/LIF neurons: hand-computed traces, the taped vs the in-place
-serial loop, serial vs whole-sequence."""
+"""IF/LIF neurons: hand-computed traces, the taped loop vs the array loop,
+the reset-free whole sequence against a float64 serial oracle."""
 
 import dataclasses
 
@@ -8,10 +8,13 @@ import pytest
 
 from psn.bench import measure_memory, memory_summary
 from psn.errors import ContractError
-from psn.neurons import (VanillaNeuronParams, parallel_no_reset,
-                         vanilla, vanilla_sequence)
+from psn.neurons import (SpikeTrace, VanillaNeuronParams,
+                         heaviside_surrogate, parallel_no_reset, vanilla,
+                         vanilla_sequence)
 from psn.neurons.vanilla import apply_reset
-from psn.tensor import Tape, Tensor, no_tape
+from psn.tensor import (Tape, Tensor, add, no_tape, scale, split_rows,
+                        stack_rows)
+from psn.verify import _serial_charge
 
 
 def _col(values):
@@ -37,7 +40,7 @@ def test_subthreshold_step_leaves_membrane():
 
 def test_lif_no_reset_halving_trace():
     p = VanillaNeuronParams(kind="lif", reset_mode="none")
-    trace = vanilla_sequence(_col([1.0, 0.0, 0.0]), p)
+    trace = parallel_no_reset(_col([1.0, 0.0, 0.0]), p)
     np.testing.assert_allclose(trace.h.data[:, 0], [0.5, 0.25, 0.125],
                                rtol=1e-12)
     np.testing.assert_array_equal(trace.s.data, np.zeros((3, 1)))
@@ -68,17 +71,18 @@ def test_if_parallel_accumulates():
 def test_serial_and_parallel_agree_without_reset(kind):
     rng = np.random.default_rng([30, hash(kind) % 1000])
     p = VanillaNeuronParams(kind=kind, reset_mode="none")
-    x = Tensor(rng.standard_normal((33, 5)))
-    serial = vanilla_sequence(x, p)
-    par = parallel_no_reset(x, p)
-    np.testing.assert_allclose(par.h.data, serial.h.data, atol=1e-5)
-    np.testing.assert_array_equal(par.s.data, serial.s.data)
+    x = rng.standard_normal((33, 5))
+    serial = _serial_charge(kind, x)
+    par = parallel_no_reset(Tensor(x), p)
+    np.testing.assert_allclose(par.h.data, serial, atol=1e-5)
+    np.testing.assert_array_equal(par.s.data, serial >= p.v_th)
 
 
 def test_parallel_rejects_an_empty_time_axis():
     p = VanillaNeuronParams(kind="lif", reset_mode="none")
-    with pytest.raises(ContractError):
-        parallel_no_reset(Tensor(np.ones((0, 2))), p)
+    for shape in ((), (0, 2)):
+        with pytest.raises(ContractError, match="^parallel_no_reset "):
+            parallel_no_reset(Tensor(np.ones(shape)), p)
 
 
 def test_parallel_rejects_reset_modes():
@@ -91,8 +95,8 @@ def test_no_reset_membrane_dominates_hard_reset():
     # With non-negative drive, resetting can only lower the potential.
     rng = np.random.default_rng(31)
     x = Tensor(rng.uniform(0.0, 2.0, size=(12, 4)))
-    free = vanilla_sequence(x, VanillaNeuronParams(kind="lif",
-                                                   reset_mode="none"))
+    free = parallel_no_reset(x, VanillaNeuronParams(kind="lif",
+                                                    reset_mode="none"))
     hard = vanilla_sequence(x, VanillaNeuronParams(kind="lif",
                                                    reset_mode="hard"))
     assert np.all(free.h.data >= hard.h.data)
@@ -103,7 +107,7 @@ def test_spikes_are_binary_for_all_reset_modes():
     x = Tensor(rng.standard_normal((10, 6)) * 2)
     for mode in ("hard", "none"):
         p = VanillaNeuronParams(kind="if", reset_mode=mode)
-        s = vanilla_sequence(x, p).s.data
+        s = p.forward(x).s.data
         assert set(np.unique(s)) <= {0.0, 1.0}
 
 
@@ -161,28 +165,32 @@ def test_relaxed_hard_reset_interpolates_fractional_spikes():
 @pytest.mark.parametrize("T", [1, 2, 16])
 def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode,
                                                         monkeypatch):
-    # A call records when x requires grad and a tape is active: split_rows
-    # and stack_rows, then charge (IF: add; LIF: two scale and an add), fire
-    # and, if hard, reset per step. The first LIF step records no scale of
+    # Hard: a call records when x requires grad and a tape is active:
+    # split_rows and stack_rows, then charge (IF: add; LIF: two scale and an
+    # add), fire and reset per step. The first LIF step records no scale of
     # the zero initial potential, which needs no grad. Any other call,
     # evaluate()'s requires-grad input under no_tape() included, runs the
-    # in-place loop.
+    # array loop. Reset-free: every call runs the array loop, and a
+    # recording one records it as one op.
     calls = []
-    in_place = vanilla._serial_in_place
-    monkeypatch.setattr(vanilla, "_serial_in_place",
-                        lambda *a: calls.append(a) or in_place(*a))
+    array_loop = vanilla._array_loop
+    monkeypatch.setattr(vanilla, "_array_loop",
+                        lambda *a: calls.append(a) or array_loop(*a))
     p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
     x = Tensor(np.ones((T, 3)), requires_grad=True)
     with Tape() as tape:
-        vanilla_sequence(x, p)
-    reset = T if reset_mode == "hard" else 0
-    assert len(tape) == {"if": 2 * T + 2, "lif": 4 * T + 1}[kind] + reset
-    assert not calls
+        p.forward(x)
+    if reset_mode == "hard":
+        assert len(tape) == {"if": 3 * T + 2, "lif": 5 * T + 1}[kind]
+        assert not calls
+    else:
+        assert len(tape) == 1 and len(calls) == 1
+    calls.clear()
     with Tape() as tape:
-        vanilla_sequence(Tensor(np.ones((T, 3))), p)
+        p.forward(Tensor(np.ones((T, 3))))
         with no_tape():
-            vanilla_sequence(x, p)
-    vanilla_sequence(x, p)
+            p.forward(x)
+    p.forward(x)
     assert len(tape) == 0
     assert len(calls) == 3
 
@@ -214,11 +222,30 @@ def _taped(x, p, relaxed=False):
     return trace
 
 
-# With 8-column blocks: one row; N below, at and past a block and not a
-# multiple of it; a (T, B, C) input whose 15 columns span two blocks.
+def _taped_no_reset(x, p, relaxed=False):
+    """The reset-free recurrence as taped ops per step, from h[0] = scale *
+    x[0] with no +0.0 added, each step x*scale + h*decay as the array loop
+    adds them."""
+    lif = p.kind == "lif"
+    decay, inv = (1 - 1 / p.tau_m, 1 / p.tau_m) if lif else (1, 1)
+    with Tape() as tape:
+        rows = split_rows(Tensor(x, requires_grad=True, dtype=x.dtype))
+        h = [scale(rows[0], inv)]
+        for x_t in rows[1:]:
+            h.append(add(scale(x_t, inv), scale(h[-1], decay)))
+        h = stack_rows(h)
+        s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
+    assert len(tape)
+    return SpikeTrace(s, h=h)
+
+
+# With 8-element blocks, which split columns and rows: one row; N below, at
+# and past a block and not a multiple of it; a (T, B, C) input whose 15
+# columns span two blocks; 9 rows of 2 columns in row blocks of 4, so the
+# carry crosses row blocks within one column block.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", [(1, 13), (3, 6), (3, 8), (4, 13),
-                                   (4, 3, 5)])
+                                   (4, 3, 5), (9, 2)])
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("relaxed", [False, True])
 @pytest.mark.parametrize("reset_mode", ["hard", "none"])
@@ -226,12 +253,17 @@ def _taped(x, p, relaxed=False):
 def test_in_place_loop_is_the_taped_loop_bit_for_bit(kind, reset_mode,
                                                      relaxed, dtype, shape,
                                                      monkeypatch):
+    # Hard: the array loop against vanilla_sequence's taped loop, which
+    # charges from +0.0, so a -0.0 input at t=0 gives h +0.0 on both.
+    # Reset-free: the untaped parallel_no_reset against the taped steps of
+    # _taped_no_reset, which keep h[0] = scale * x[0] (-0.0 stays -0.0).
     monkeypatch.setattr(vanilla, "_COLS", 8)
     x = _serial_input(shape, dtype)
     p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
-    free = vanilla_sequence(Tensor(x, dtype=dtype), p, relaxed=relaxed)
+    free = p.forward(Tensor(x, dtype=dtype), relaxed=relaxed)
     assert free.h.data.dtype == dtype
-    _assert_same_bits(free, _taped(x, p, relaxed))
+    taped = _taped if reset_mode == "hard" else _taped_no_reset
+    _assert_same_bits(free, taped(x, p, relaxed))
 
 
 @pytest.mark.parametrize("kind", ["if", "lif"])
@@ -253,7 +285,16 @@ def test_serial_rejects_an_empty_time_axis(requires_grad):
     p = VanillaNeuronParams(kind="if", reset_mode="hard")
     for shape in ((), (0, 2)):
         x = Tensor(np.ones(shape), requires_grad=requires_grad)
-        with Tape(), pytest.raises(ContractError):
+        with Tape(), pytest.raises(ContractError,
+                                   match="^vanilla_sequence "):
+            vanilla_sequence(x, p)
+
+
+def test_serial_refuses_the_reset_free_kinds():
+    p = VanillaNeuronParams(kind="if", reset_mode="none")
+    for requires_grad in (False, True):
+        x = Tensor(np.ones((4, 2)), requires_grad=requires_grad)
+        with Tape(), pytest.raises(ContractError, match="parallel_no_reset"):
             vanilla_sequence(x, p)
 
 

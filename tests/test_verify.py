@@ -137,23 +137,23 @@ def test_grad_suite_catches_a_dropped_weight_gradient_diagonal(monkeypatch):
 
 
 def test_grad_suite_checks_the_fused_reset_free_backward(monkeypatch):
-    charge_fire = vanilla._charge_fire
-    backward = vanilla._charge_fire_backward
+    array_loop = vanilla._array_loop
+    backward = vanilla._array_loop_backward
     relaxed = []
 
-    def recording(*args):
-        relaxed.append(args[4])
-        return charge_fire(*args)
+    def recording(xd, p, *args):
+        relaxed.append((p.reset_mode, args[0]))
+        return array_loop(xd, p, *args)
 
     def skewed(*args):
         return backward(*args) * 1.01
 
-    monkeypatch.setattr(vanilla, "_charge_fire", recording)
-    monkeypatch.setattr(vanilla, "_charge_fire_backward", skewed)
+    monkeypatch.setattr(vanilla, "_array_loop", recording)
+    monkeypatch.setattr(vanilla, "_array_loop_backward", skewed)
     result = suite_grad(instances=2)
     # The reset-free cases run the fused op's relaxed forward, and the
     # finite differences reject its skewed backward.
-    assert relaxed and all(relaxed)
+    assert ("none", True) in relaxed and all(r for _, r in relaxed)
     failed = {w.split(",")[0] for w in result.failures}
     assert failed == {"(case=if-no-reset", "(case=lif-no-reset"}
 
