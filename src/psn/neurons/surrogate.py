@@ -59,37 +59,48 @@ def _sigma_times(x, g):
     return np.multiply(_sigma_into(x), g, out=x)
 
 
+def _fire(h, threshold, relaxed, out=None):
+    """(h >= threshold), or smooth_step(h - threshold) if relaxed, in h's
+    dtype; ``threshold`` broadcasts against ``h``. Assigned into ``out`` if
+    given, which beat the buffered cast of ``np.greater_equal(h, threshold,
+    out)`` on rows of 64 to 65536 float32 elements; else cast into a new
+    array after the comparison, as ``astype`` did (README, PSN inference).
+    """
+    s = (smooth_step(h - threshold) if relaxed
+         else np.greater_equal(h, threshold))
+    if out is None:
+        return np.asarray(s, h.dtype)
+    out[...] = s
+    return out
+
+
+def _broadcast_threshold(threshold, hd):
+    """(mode, thb): ``threshold``'s values shaped to broadcast against the
+    charge ``hd``. Mode "const" is a python scalar, "scalar" a one-element
+    tensor and "row" a (T,) tensor, one value per leading row of ``hd``."""
+    if not isinstance(threshold, Tensor):
+        return "const", hd.dtype.type(threshold)
+    thd = threshold.data
+    if thd.size == 1:
+        return "scalar", thd.reshape(())
+    if thd.ndim == 1 and hd.ndim >= 2 and thd.shape[0] == hd.shape[0]:
+        return "row", thd.reshape((thd.shape[0],) + (1,) * (hd.ndim - 1))
+    raise ShapeMismatchError(
+        f"threshold shape {thd.shape} does not broadcast against "
+        f"charge shape {hd.shape}")
+
+
 def heaviside_surrogate(h, threshold, *, relaxed=False):
     """Spike tensor Theta(h - threshold), surrogate gradient on the way back.
 
     ``relaxed`` replaces the step with ``smooth_step`` so the whole forward
-    becomes differentiable; verification uses it, training never does.
+    becomes differentiable; verification uses it, training never does. The
+    spikes take the charge's dtype; a 0-d charge gives 0-d spikes.
     """
     hd = h.data
-
-    if isinstance(threshold, Tensor):
-        th = threshold
-        thd = th.data
-        if thd.size == 1:
-            mode = "scalar"
-            thb = thd.reshape(())
-        elif thd.ndim == 1 and hd.ndim >= 2 and thd.shape[0] == hd.shape[0]:
-            mode = "row"
-            thb = thd.reshape((thd.shape[0],) + (1,) * (hd.ndim - 1))
-        else:
-            raise ShapeMismatchError(
-                f"threshold shape {thd.shape} does not broadcast against "
-                f"charge shape {hd.shape}")
-    else:
-        th = None
-        mode = "const"
-        thb = hd.dtype.type(threshold)
-
-    # asarray: on a 0-d charge both forms give a numpy scalar.
-    if relaxed:
-        s_data = np.asarray(smooth_step(hd - thb))
-    else:
-        s_data = np.asarray(np.greater_equal(hd, thb).astype(hd.dtype))
+    mode, thb = _broadcast_threshold(threshold, hd)
+    th = threshold if mode != "const" else None
+    s_data = _fire(hd, thb, relaxed)
 
     def backward(gouts):
         g = gouts[0]
@@ -99,7 +110,8 @@ def heaviside_surrogate(h, threshold, *, relaxed=False):
         if th is None or not th.requires_grad:
             return (dh,) if th is None else (dh, None)
         if mode == "scalar":
-            dth = np.asarray(-dh.sum(), dtype=thd.dtype).reshape(thd.shape)
+            dth = np.asarray(-dh.sum(), dtype=th.data.dtype).reshape(
+                th.data.shape)
         else:
             dth = -dh.reshape(dh.shape[0], -1).sum(axis=1)
         return dh, dth

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ContractError
 from ..tensor import (Tensor, active_tape, add, scale, split_rows, stack_rows,
                       taped_op)
-from .surrogate import _sigma_times, heaviside_surrogate, smooth_step
+from .surrogate import _fire, _sigma_times, heaviside_surrogate
 from .trace import SpikeTrace
 
 
@@ -166,14 +166,6 @@ def _recurrence(rows, decay, start, stop, carry):
         np.multiply(prev, decay, carry)
         np.add(row, carry, row)
         prev = row
-
-
-def _fire(h, v_th, relaxed, out):
-    """out = (h >= v_th), or smooth_step(h - v_th) if relaxed."""
-    if relaxed:
-        out[...] = smooth_step(h - v_th)
-    else:
-        np.greater_equal(h, v_th, out)
 
 
 def _array_loop(xd, p, relaxed, caller):

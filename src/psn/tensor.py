@@ -485,6 +485,12 @@ def _band_weight_grad(g, b, k):
     return out
 
 
+def _banded(a, band):
+    """Whether ``matmul`` multiplies only the ``band`` lower diagonals of a."""
+    T = a.shape[0]
+    return band is not None and band < T and T >= _BAND_MIN_T
+
+
 def matmul(a, b, band=None):
     """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N).
 
@@ -509,7 +515,7 @@ def matmul(a, b, band=None):
         raise ShapeMismatchError(
             f"matmul needs (M,K) @ (K,N), got {ad.shape} @ {bd.shape}")
     T = ad.shape[0]
-    banded = band is not None and band < T and T >= _BAND_MIN_T
+    banded = _banded(ad, band)
     out = _band_product(ad, bd, band, False) if banded else _product(ad, bd)
 
     def backward(gouts):

@@ -12,7 +12,7 @@ from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
 from psn import tensor, verify
 from psn.neurons import parallel
 from psn.neurons.surrogate import heaviside_surrogate
-from psn.tensor import Tape, Tensor, mul, sum_all
+from psn.tensor import Tape, Tensor, mul, no_tape, sum_all
 
 
 def _psn(weight, threshold):
@@ -382,3 +382,120 @@ def test_all_family_spikes_are_binary():
     ]
     for trace in traces:
         assert set(np.unique(trace.s.data)) <= {0.0, 1.0}
+
+
+# ------------------------------------------------------- untaped column walk
+
+
+def _family(kind, T, dtype):
+    rng = np.random.default_rng([54, T])
+    if kind == "psn":
+        return PSNParams.create(T, rng, dtype=dtype)
+    if kind == "spsn":
+        return SlidingPSNParams.create(min(3, T), dtype=dtype)
+    lam = float(kind.rpartition("-")[2])
+    return MaskedPSNParams.create(T, min(3, T), rng, dtype=dtype, lam=lam)
+
+
+def _family_input(T, N, dtype):
+    """Spiking-range values with NaN, +-inf and -0.0 at columns of the
+    first, a middle and the last block."""
+    x = (1.5 * np.random.default_rng([55, T, N]).standard_normal(
+        (T, N))).astype(dtype)
+    cols = [0, N // 2, N - 1]
+    x[0, cols] = [np.nan, np.inf, -0.0]
+    x[T - 1, cols] = [-np.inf, -0.0, np.nan]
+    return x
+
+
+# With 8-column blocks: N=16 spans exactly two blocks (one block); N=17 two
+# blocks and a column; N=25 three and a column; N=100 many.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("N", [16, 17, 25, 100])
+@pytest.mark.parametrize("T", [1, 2, 5, 11, 12])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("kind",
+                         ["psn", "masked-psn-1", "masked-psn-0.5", "spsn"])
+def test_untaped_walk_is_the_taped_forward_bit_for_bit(kind, relaxed, dtype,
+                                                      T, N, monkeypatch):
+    monkeypatch.setattr(parallel, "_COLS", 8)
+    p = _family(kind, T, dtype)
+    x0 = _family_input(T, N, dtype)
+    x = Tensor(x0, requires_grad=True)
+    with Tape() as tape:
+        taped = p.forward(x, relaxed=relaxed)
+    assert len(tape)
+    free = p.forward(Tensor(x0), relaxed=relaxed)
+    for got, want in ((free.h.data, taped.h.data),
+                      (free.s.data, taped.s.data)):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["psn", "masked-psn-1", "spsn"])
+def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
+    # A recording call (a tape is active and the input or a parameter
+    # requires grad) tapes the charge matrix's op (masked: the blend;
+    # sliding: the Toeplitz build), matmul and heaviside_surrogate, and
+    # never walks. Any other call, evaluate()'s requires-grad input under
+    # no_tape() included, records nothing and walks the blocks.
+    monkeypatch.setattr(parallel, "_COLS", 8)
+    walks = []
+    column_blocks = parallel._column_blocks
+    monkeypatch.setattr(parallel, "_column_blocks",
+                        lambda *a: walks.append(column_blocks(*a))
+                        or walks[-1])
+    T, N = 4, 40
+    p = _family(kind, T, np.float32)
+    x = Tensor(np.ones((T, N), np.float32), requires_grad=True)
+    built = {"psn": [], "masked-psn-1": ["mul"], "spsn": ["spsn_build_A"]}
+    for x_t in (x, Tensor(x.data)):
+        with Tape() as tape:
+            p.forward(x_t)
+        assert [b.__qualname__.partition(".")[0]
+                for _, _, b in tape._records] \
+            == built[kind] + ["matmul", "heaviside_surrogate"]
+    assert not walks
+    with Tape() as tape:
+        with no_tape():
+            p.forward(x)
+    p.forward(x)
+    assert len(tape) == 0
+    assert [len(w) for w in walks] == [5, 5]
+
+
+def test_evaluate_walks_untaped(monkeypatch):
+    from psn.data import SequenceBatch
+    from psn.training import Model, ModelSpec, evaluate
+
+    monkeypatch.setattr(parallel, "_COLS", 8)
+    products = []
+    product = parallel._product
+    monkeypatch.setattr(parallel, "_product",
+                        lambda *a: products.append(a) or product(*a))
+    rng = np.random.default_rng(56)
+    batch = SequenceBatch(Tensor(rng.standard_normal((2, 24, 3))),
+                          rng.integers(0, 2, 24))
+    spec = ModelSpec(layers=(("linear", 3, 4), ("neuron", "psn", {}),
+                             ("linear", 4, 2)), seed=1, num_steps=2)
+    model = Model(spec, 3)
+    with Tape() as tape:
+        evaluate(model, batch)
+    assert len(tape) == 0
+    # 24 samples of 4 channels: 96 columns, 12 blocks of 8.
+    assert len(products) == 12
+
+
+@pytest.mark.parametrize("T", [1, 2, 11, 12, 64])
+@pytest.mark.parametrize("N", [0, 1, 16, 17, 24, 25, 33, 100, 1001])
+def test_column_blocks_cover_every_column_once(T, N, monkeypatch):
+    monkeypatch.setattr(parallel, "_COLS", 8)
+    blocks = parallel._column_blocks(T, N)
+    cols = [c for b in blocks for c in range(N)[b]]
+    assert cols == list(range(N))
+    if T > 11 or N <= 16:
+        assert blocks == [slice(0, N)]
+    else:
+        assert len(blocks) == -(-N // 8)
+        assert all(2 <= b.stop - b.start <= 8 for b in blocks)
