@@ -10,9 +10,11 @@ from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
                         parallel_no_reset, psn_forward, spsn_build_A,
                         spsn_forward)
 from psn import tensor, verify
+from psn.data import SequenceBatch
 from psn.neurons import parallel
 from psn.neurons.surrogate import heaviside_surrogate
 from psn.tensor import Tape, Tensor, mul, no_tape, sum_all
+from psn.training import Model, ModelSpec, evaluate
 
 
 def _psn(weight, threshold):
@@ -466,9 +468,6 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
 
 
 def test_evaluate_walks_untaped(monkeypatch):
-    from psn.data import SequenceBatch
-    from psn.training import Model, ModelSpec, evaluate
-
     monkeypatch.setattr(parallel, "_COLS", 8)
     products = []
     product = parallel._product
