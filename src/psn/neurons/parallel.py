@@ -3,31 +3,31 @@
 All three drop the recurrence entirely: each builds a T x T charge matrix
 and hands it to one charge-and-fire function, ``_charge_fire``, which
 charges with one product, H = A X, and fires. The plain PSN's A is a dense
-learnable W, fired against a
-learnable per-time-step threshold vector B. The masked PSN's A is W times a
-banded causal mask, blended toward all-ones by a schedule-driven lambda
-while training warms up; the blend is cached once per lambda. The sliding
-PSN shares k weights across time and builds its banded Toeplitz A from T
-at call time, which makes it sequence-length-agnostic. The fully masked
-(lambda 1) and the sliding charge matrices are zero outside their k lower
-diagonals, so both hand ``matmul`` their band: from T=32 on, the forward
-and the input gradient run as a block-banded product that multiplies only
-that band, and for k <= T/4 the charge matrix's gradient is computed on the
-band alone (zero elsewhere), as it reaches W only through the mask and the
-kernel only through its diagonals. From 32 steps over rows of a multiple
-of 4 KiB, 4 MiB in all (T=64, N=65536 in float32), the charge H and the
-input gradient are padded, non-contiguous views (``psn.tensor._padded``):
-their rows lie 64 bytes more than a row apart, and the product takes
-about 0.7x the time with the same bits.
+learnable W, fired against a learnable per-time-step threshold vector B.
+The masked PSN's A is W times a banded causal mask, blended toward all-ones
+by a schedule-driven lambda while training warms up; the blend is cached
+once per lambda. The sliding PSN shares k weights across time and builds
+its banded Toeplitz A from T at call time, which makes it
+sequence-length-agnostic. The fully masked (lambda 1) and the sliding
+charge matrices are zero outside their k lower diagonals, so both hand
+``matmul`` their band: from T=32 on, the forward and the input gradient run
+as a block-banded product that multiplies only that band, and for k <= T/4
+the charge matrix's gradient is computed on the band alone (zero
+elsewhere), as it reaches W only through the mask and the kernel only
+through its diagonals. From 32 steps over rows of a multiple of 4 KiB,
+4 MiB in all (T=64, N=65536 in float32), the charge H and the input
+gradient are padded, non-contiguous views (``psn.tensor._padded``):
+their rows lie 64 bytes more than a row apart, and the product takes about
+0.7x the time with the same bits.
 
-A call that a tape records tapes ``matmul`` and ``heaviside_surrogate``.
-Any other call (inference, ``evaluate()``) is never taped and fires each
-block of H while it is still in L2: a short contraction (T <= 11) over
-more than two blocks of 2^15 columns (``_COLS``) is charged block by block
-through ``psn.tensor._product``, whose column-split products keep one
-call's bits at that T, and each block is fired before the next is charged.
-Any other shape is one block: ``matmul``'s own product, padded or banded,
-then the fire. ``h`` and ``s`` are the taped path's, bit for bit.
+A call that a tape records runs the ``matmul`` and ``heaviside_surrogate``
+ops, and so does any call of one block. Any other call (inference,
+``evaluate()``) is never taped and fires each block of H while it is
+still in L2: a short contraction (T <= 11) over more than two blocks of
+about 2^16 elements (``vanilla._COLS``, the IF/LIF array loop's block) is
+charged block by block through ``psn.tensor._product``, whose
+column-split products keep one call's bits at that T, and each block is
+fired before the next is charged. ``h`` and ``s`` are the ops' bits.
 
 Initialization follows the reference recipe: dense weights from
 U(-sqrt(5), sqrt(5)), sliding weights 2^(i-k+1) (newest weight 1, halving
@@ -39,10 +39,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError, ShapeMismatchError
-from ..tensor import (_PIECE_MAX_K, Tensor, _band_product, _banded,
-                      _product, active_tape, matmul, mul, taped_op)
+from ..tensor import (_PIECE_MAX_K, Tensor, _column_pieces, _product,
+                      active_tape, matmul, mul, taped_op)
 from .surrogate import _broadcast_threshold, _fire, heaviside_surrogate
 from .trace import SpikeTrace
+from .vanilla import _COLS
 
 _INIT_BOUND = float(np.sqrt(5.0))
 
@@ -157,49 +158,33 @@ def _check_charge_input(x, num_steps):
             f"for {num_steps}")
 
 
-# Columns per block of the untaped charge and fire: at T=2 in float32 the
-# X, H and S blocks take 768 KiB, so each H block is fired while it is in
-# L2. In four probes of perfbench's kernel-short rounds 2^15 ran 2-7%
-# faster than 2^16 and 3-8% faster than 2^14; psn bench's inference grid
-# could not tell 2^15, 2^16, 2^16/T and 2^17/T apart at T = 2, 4, 8.
-_COLS = 1 << 15
-
-
 def _column_blocks(T, N):
-    """Column slices of the untaped charge and fire: near-equal blocks of at
-    most ``_COLS`` and at least two columns (a one-column product goes to
-    gemv and sums in another order) where T <= _PIECE_MAX_K and N spans
-    more than two blocks, else one block."""
-    if T > _PIECE_MAX_K or N <= 2 * _COLS:
-        return [slice(0, N)]
-    blocks = -(-N // _COLS)
-    return [slice(i * N // blocks, (i + 1) * N // blocks)
-            for i in range(blocks)]
+    """Column slices of the untaped walk: about ``_COLS`` elements, so
+    ``_COLS // T`` columns, per block where T <= _PIECE_MAX_K and the
+    charge spans more than two blocks, else one block."""
+    if T > _PIECE_MAX_K or T * N <= 2 * _COLS:
+        return (slice(0, N),)
+    return _column_pieces(N, -(-T * N // _COLS))
 
 
 def _charge_fire(a, x, threshold, band, relaxed):
-    """H = A X and S = Theta(H - threshold): the taped ``matmul`` and
-    ``heaviside_surrogate`` when a tape records the call (a tape is active
-    and an input requires grad), else the untaped walk over
-    ``_column_blocks`` that the module docstring describes."""
-    if active_tape() is not None and (
-            a.requires_grad or x.requires_grad or threshold.requires_grad):
+    """H = A X and S = Theta(H - threshold): the ``matmul`` and
+    ``heaviside_surrogate`` ops, which a tape records if one is active and
+    an input requires grad, else the walk over several ``_column_blocks``
+    that the module docstring describes."""
+    recording = active_tape() is not None and (
+        a.requires_grad or x.requires_grad or threshold.requires_grad)
+    if recording or len(blocks := _column_blocks(*x.data.shape)) == 1:
         h = matmul(a, x, band=band)
         return SpikeTrace(heaviside_surrogate(h, threshold, relaxed=relaxed),
                           h=h)
     ad, xd = a.data, x.data
     thb = _broadcast_threshold(threshold, xd)[1]
-    blocks = _column_blocks(*xd.shape)
-    if len(blocks) == 1:
-        h = (_band_product(ad, xd, band, False) if _banded(ad, band)
-             else _product(ad, xd))
-        s = _fire(h, thb, relaxed)
-    else:
-        h = np.empty(xd.shape, np.result_type(ad, xd))
-        s = np.empty_like(h)
-        for c in blocks:
-            _product(ad, xd[:, c], h[:, c])
-            _fire(h[:, c], thb, relaxed, s[:, c])
+    h = np.empty(xd.shape, np.result_type(ad, xd))
+    s = np.empty_like(h)
+    for c in blocks:
+        _product(ad, xd[:, c], h[:, c])
+        _fire(h[:, c], thb, relaxed, s[:, c])
     return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
 
 

@@ -60,18 +60,20 @@ def _sigma_times(x, g):
 
 
 def _fire(h, threshold, relaxed, out=None):
-    """(h >= threshold), or smooth_step(h - threshold) if relaxed, in h's
-    dtype; ``threshold`` broadcasts against ``h``. Assigned into ``out`` if
-    given, which beat the buffered cast of ``np.greater_equal(h, threshold,
-    out)`` on rows of 64 to 65536 float32 elements; else cast into a new
-    array after the comparison, as ``astype`` did (README, PSN inference).
+    """(h >= threshold) in h's dtype, or smooth_step(h - threshold) if
+    relaxed; ``threshold`` broadcasts against ``h``. Assigned into ``out``
+    if given, which beat the buffered cast of ``np.greater_equal(h,
+    threshold, out)`` on rows of 64 to 65536 float32 elements; else a new
+    array, cast after the comparison as ``astype`` did (README, PSN
+    inference). The relaxed spikes take the dtype of h - threshold.
     """
     s = (smooth_step(h - threshold) if relaxed
          else np.greater_equal(h, threshold))
-    if out is None:
-        return np.asarray(s, h.dtype)
-    out[...] = s
-    return out
+    if out is not None:
+        out[...] = s
+        return out
+    # asarray: on a 0-d charge both forms give a numpy scalar.
+    return np.asarray(s) if relaxed else np.asarray(s, h.dtype)
 
 
 def _broadcast_threshold(threshold, hd):
@@ -95,7 +97,8 @@ def heaviside_surrogate(h, threshold, *, relaxed=False):
 
     ``relaxed`` replaces the step with ``smooth_step`` so the whole forward
     becomes differentiable; verification uses it, training never does. The
-    spikes take the charge's dtype; a 0-d charge gives 0-d spikes.
+    exact spikes take the charge's dtype, the relaxed ones that of
+    h - threshold; a 0-d charge gives 0-d spikes.
     """
     hd = h.data
     mode, thb = _broadcast_threshold(threshold, hd)

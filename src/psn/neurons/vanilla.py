@@ -130,7 +130,12 @@ def vanilla_sequence(x, p, *, relaxed=False):
 
 # Columns per block of the array loop and its backward, and about the
 # elements a block holds: one 256 KiB row at N=65536 float32, so a block is
-# charged, fired and carried (or differentiated) while it is in L2.
+# charged, fired and carried (or differentiated) while it is in L2. The
+# untaped PSN walk (parallel._column_blocks) holds as many elements, in
+# _COLS // T columns of all T rows: 2^15 at kernel-short's T=2, where its
+# X, H and S blocks take 768 KiB. In four probes of perfbench's
+# kernel-short rounds that width ran 2-7% faster than 2^16 columns and
+# 3-8% faster than 2^14.
 _COLS = 1 << 16
 
 

@@ -391,6 +391,16 @@ def _buffer_bytes(arr):
     return arr.nbytes if arr.base is None else arr.base.nbytes
 
 
+def _column_pieces(n, pieces):
+    """``pieces`` near-equal column slices of [0, n), or the one slice if a
+    piece would be under two columns wide: a one-column product goes to
+    gemv and sums in another order."""
+    if pieces < 2 or n < 2 * pieces:
+        return (slice(0, n),)
+    return [slice(i * n // pieces, (i + 1) * n // pieces)
+            for i in range(pieces)]
+
+
 def _product(a, b, out=None, plain=False):
     """a @ b, into ``out`` if given: the one door to BLAS.
 
@@ -400,10 +410,8 @@ def _product(a, b, out=None, plain=False):
       64-byte-aligned, non-contiguous view with rows 64 bytes more than a
       row apart.
     - Unless ``plain``, a product with K <= _PIECE_MAX_K and M*K*N >
-      _SMALL_GEMM is written as ceil(M*K*N / _SMALL_GEMM) near-equal column
-      pieces, each under OpenBLAS's small-matrix threshold; every piece is
-      at least two columns wide, as a one-column piece goes to gemv and sums
-      in another order.
+      _SMALL_GEMM is written as ceil(M*K*N / _SMALL_GEMM) column pieces
+      (``_column_pieces``), each under OpenBLAS's small-matrix threshold.
 
     Any other product is the single call ``np.matmul(a, b, out=out)``,
     which without ``out`` is ``a @ b``. ``linear``, whose outputs are
@@ -422,15 +430,15 @@ def _product(a, b, out=None, plain=False):
     # gate's dtype lookups.
     if out is None and m >= _PAD_MIN_ROWS:
         out = _padded(m, n, np.result_type(a, b))
-    pieces = -(-m * k * n // _SMALL_GEMM)
-    if k > _PIECE_MAX_K or pieces < 2 or n < 2 * pieces:
-        return np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty((m, n), dtype=np.result_type(a, b))
-    for i in range(pieces):
-        c0, c1 = i * n // pieces, (i + 1) * n // pieces
-        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
-    return out
+    if k <= _PIECE_MAX_K:
+        cuts = _column_pieces(n, -(-m * k * n // _SMALL_GEMM))
+        if len(cuts) > 1:
+            if out is None:
+                out = np.empty((m, n), dtype=np.result_type(a, b))
+            for c in cuts:
+                np.matmul(a, b[:, c], out=out[:, c])
+            return out
+    return np.matmul(a, b, out=out)
 
 
 # Output rows per GEMM of a banded matmul: 8 rows keep the contraction,
@@ -485,12 +493,6 @@ def _band_weight_grad(g, b, k):
     return out
 
 
-def _banded(a, band):
-    """Whether ``matmul`` multiplies only the ``band`` lower diagonals of a."""
-    T = a.shape[0]
-    return band is not None and band < T and T >= _BAND_MIN_T
-
-
 def matmul(a, b, band=None):
     """2-D matrix product. Shapes (M,K) @ (K,N) -> (M,N).
 
@@ -515,7 +517,7 @@ def matmul(a, b, band=None):
         raise ShapeMismatchError(
             f"matmul needs (M,K) @ (K,N), got {ad.shape} @ {bd.shape}")
     T = ad.shape[0]
-    banded = _banded(ad, band)
+    banded = band is not None and band < T and T >= _BAND_MIN_T
     out = _band_product(ad, bd, band, False) if banded else _product(ad, bd)
 
     def backward(gouts):

@@ -410,8 +410,9 @@ def _family_input(T, N, dtype):
     return x
 
 
-# With 8-column blocks: N=16 spans exactly two blocks (one block); N=17 two
-# blocks and a column; N=25 three and a column; N=100 many.
+# With blocks of 8 columns (_COLS = 8 T elements): N=16 spans exactly two
+# blocks (one block); N=17 two blocks and a column; N=25 three and a
+# column; N=100 many.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("N", [16, 17, 25, 100])
 @pytest.mark.parametrize("T", [1, 2, 5, 11, 12])
@@ -421,7 +422,7 @@ def _family_input(T, N, dtype):
                          ["psn", "masked-psn-1", "masked-psn-0.5", "spsn"])
 def test_untaped_walk_is_the_taped_forward_bit_for_bit(kind, relaxed, dtype,
                                                       T, N, monkeypatch):
-    monkeypatch.setattr(parallel, "_COLS", 8)
+    monkeypatch.setattr(parallel, "_COLS", 8 * T)
     p = _family(kind, T, dtype)
     x0 = _family_input(T, N, dtype)
     x = Tensor(x0, requires_grad=True)
@@ -441,8 +442,9 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
     # requires grad) tapes the charge matrix's op (masked: the blend;
     # sliding: the Toeplitz build), matmul and heaviside_surrogate, and
     # never walks. Any other call, evaluate()'s requires-grad input under
-    # no_tape() included, records nothing and walks the blocks.
-    monkeypatch.setattr(parallel, "_COLS", 8)
+    # no_tape() included, records nothing and walks the blocks of 8
+    # columns.
+    monkeypatch.setattr(parallel, "_COLS", 32)
     walks = []
     column_blocks = parallel._column_blocks
     monkeypatch.setattr(parallel, "_column_blocks",
@@ -468,7 +470,7 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
 
 
 def test_evaluate_walks_untaped(monkeypatch):
-    monkeypatch.setattr(parallel, "_COLS", 8)
+    monkeypatch.setattr(parallel, "_COLS", 16)
     products = []
     product = parallel._product
     monkeypatch.setattr(parallel, "_product",
@@ -489,12 +491,12 @@ def test_evaluate_walks_untaped(monkeypatch):
 @pytest.mark.parametrize("T", [1, 2, 11, 12, 64])
 @pytest.mark.parametrize("N", [0, 1, 16, 17, 24, 25, 33, 100, 1001])
 def test_column_blocks_cover_every_column_once(T, N, monkeypatch):
-    monkeypatch.setattr(parallel, "_COLS", 8)
+    monkeypatch.setattr(parallel, "_COLS", 8 * T)
+    cols = parallel._COLS // T
     blocks = parallel._column_blocks(T, N)
-    cols = [c for b in blocks for c in range(N)[b]]
-    assert cols == list(range(N))
-    if T > 11 or N <= 16:
-        assert blocks == [slice(0, N)]
+    assert [c for b in blocks for c in range(N)[b]] == list(range(N))
+    if T > tensor._PIECE_MAX_K or N <= 2 * cols:
+        assert list(blocks) == [slice(0, N)]
     else:
-        assert len(blocks) == -(-N // 8)
-        assert all(2 <= b.stop - b.start <= 8 for b in blocks)
+        assert len(blocks) == -(-N // cols)
+        assert all(2 <= b.stop - b.start <= cols for b in blocks)

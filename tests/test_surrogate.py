@@ -144,6 +144,16 @@ def test_relaxed_forward_is_smooth_step():
     np.testing.assert_allclose(s.data, smooth_step(h.data))
 
 
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_spike_dtype_under_a_wider_threshold(relaxed):
+    # Exact spikes take the charge's dtype; relaxed ones, smooth_step of
+    # h - threshold, take the difference's.
+    h = Tensor(np.array([-0.5, 0.0, 0.5]), dtype=np.float32)
+    th = Tensor(np.zeros((), np.float64))
+    s = heaviside_surrogate(h, th, relaxed=relaxed)
+    assert s.data.dtype == (np.float64 if relaxed else np.float32)
+
+
 def test_threshold_tensor_gets_negated_gradient():
     rng = np.random.default_rng(22)
     h0 = rng.standard_normal((3, 4))
