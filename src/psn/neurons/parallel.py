@@ -39,8 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError, ShapeMismatchError
-from ..tensor import (_PIECE_MAX_K, Tensor, _column_pieces, _product,
-                      active_tape, matmul, mul, taped_op)
+from ..tensor import (_PIECE_MAX_K, Tensor, _aligned, _column_pieces,
+                      _product, active_tape, matmul, mul, taped_op)
 from .surrogate import _broadcast_threshold, _fire, heaviside_surrogate
 from .trace import SpikeTrace
 from .vanilla import _COLS
@@ -180,8 +180,10 @@ def _charge_fire(a, x, threshold, band, relaxed):
                           h=h)
     ad, xd = a.data, x.data
     thb = _broadcast_threshold(threshold, xd)[1]
-    h = np.empty(xd.shape, np.result_type(ad, xd))
-    s = np.empty_like(h)
+    # On a cache line, not on glibc's 16 bytes: at T=2, N=2^21 the walk ran
+    # 4-6% faster with h and s aligned, whatever the alignment of x.
+    h = _aligned(*xd.shape, np.result_type(ad, xd))
+    s = _aligned(*xd.shape, h.dtype)
     for c in blocks:
         _product(ad, xd[:, c], h[:, c])
         _fire(h[:, c], thb, relaxed, s[:, c])

@@ -93,8 +93,8 @@ tracker = AllocationTracker()
 
 def _track_buffer(owner, arr):
     # Views piggyback on their base buffer; only count owned memory, which
-    # for a padded product output is its whole base buffer.
-    if tracker.enabled and (arr.base is None or _is_padded(arr)):
+    # for a view _aligned handed out is its whole base buffer.
+    if tracker.enabled and (arr.base is None or _owns_base(arr)):
         nbytes = _buffer_bytes(arr)
         tracker.note_alloc(nbytes)
         weakref.finalize(owner, tracker.note_free, nbytes, tracker.generation)
@@ -197,9 +197,10 @@ class Tape:
         ``loss`` must be a scalar tensor produced on this tape. Repeated calls
         accumulate again; there is no implicit zeroing. A leaf whose ``.grad``
         is None takes its first contribution as ``.grad`` when that array is
-        fresh and owned: not a view (a padded product output from
-        ``_padded`` excepted), not one of the op's output gradients and not
-        returned for two inputs of the op. Anything else is copied.
+        fresh and owned: not a view (a view from ``_aligned``, such as a
+        padded product output, excepted), not one of the op's output
+        gradients and not returned for two inputs of the op. Anything else
+        is copied.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -238,7 +239,7 @@ class Tape:
                     continue
                 # Cheapest test first; the count only matters when the op
                 # returned more than one contribution.
-                shared = (c.base is not None and not _is_padded(c)
+                shared = (c.base is not None and not _owns_base(c)
                           or (c is gouts[0] if len(gouts) == 1
                               else any(c is g for g in gouts))
                           or several and sum(c is d for d in contribs) > 1)
@@ -354,8 +355,22 @@ _PAD_MIN_BYTES = 4 << 20
 # One cache line: the alignment of a padded output and its row padding.
 _PAD = 64
 
-# id -> each view _padded handed out, while it lives.
-_padded_views = weakref.WeakValueDictionary()
+# id -> each view _aligned handed out, while it lives.
+_aligned_views = weakref.WeakValueDictionary()
+
+
+def _aligned(m, n, dtype, pad=0):
+    """An uninitialised (m, n) view that starts on a 64-byte boundary, with
+    rows a row plus ``pad`` bytes apart. The view owns its base buffer:
+    ``_track_buffer`` counts that buffer, and ``Tape.backward`` may keep
+    the view as a gradient."""
+    itemsize = np.dtype(dtype).itemsize
+    stride = n * itemsize + pad
+    raw = np.empty(m * stride + max(_PAD - pad, 0), np.uint8)
+    view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
+                      (stride, itemsize))
+    _aligned_views[id(view)] = view
+    return view
 
 
 def _padded(m, n, dtype):
@@ -366,28 +381,21 @@ def _padded(m, n, dtype):
     so it is not contiguous. At a power-of-two row length (256 KiB at
     N=65536) the output rows OpenBLAS writes together share cache sets;
     padded, a (64, 64) @ (64, 65536) product took about 0.7x the time, with
-    the same bits. The view owns its base buffer: ``_track_buffer`` counts
-    that buffer, and ``Tape.backward`` may keep the view as a gradient.
+    the same bits. The view comes from ``_aligned``.
     """
-    itemsize = np.dtype(dtype).itemsize
-    row = n * itemsize
+    row = n * np.dtype(dtype).itemsize
     if m < _PAD_MIN_ROWS or row % 4096 or m * row < _PAD_MIN_BYTES:
         return None
-    stride = row + _PAD
-    raw = np.empty(m * stride, np.uint8)
-    view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
-                      (stride, itemsize))
-    _padded_views[id(view)] = view
-    return view
+    return _aligned(m, n, dtype, _PAD)
 
 
-def _is_padded(arr):
-    """Whether ``arr`` is a view _padded handed out (not a view of one)."""
-    return _padded_views.get(id(arr)) is arr
+def _owns_base(arr):
+    """Whether ``arr`` is a view _aligned handed out (not a view of one)."""
+    return _aligned_views.get(id(arr)) is arr
 
 
 def _buffer_bytes(arr):
-    """Bytes of an owning array's buffer: its own, or its padded base's."""
+    """Bytes of an owning array's buffer: its own, or its aligned base's."""
     return arr.nbytes if arr.base is None else arr.base.nbytes
 
 

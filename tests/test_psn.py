@@ -464,9 +464,12 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
     with Tape() as tape:
         with no_tape():
             p.forward(x)
-    p.forward(x)
+    free = p.forward(x)
     assert len(tape) == 0
     assert [len(w) for w in walks] == [5, 5]
+    # The walk's h and s start on a cache line and own their buffers.
+    for arr in (free.h.data, free.s.data):
+        assert tensor._owns_base(arr) and arr.ctypes.data % 64 == 0
 
 
 def test_evaluate_walks_untaped(monkeypatch):

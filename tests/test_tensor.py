@@ -766,7 +766,7 @@ def test_padded_products_give_the_contiguous_bytes(band, monkeypatch):
     r0 = rng.standard_normal((T, N), dtype=np.float32)
     got = _banded_run(a0, b0, r0, band, True, True)
     for arr in (got[0], got[2]):
-        assert tensor._is_padded(arr)
+        assert tensor._owns_base(arr)
         assert arr.ctypes.data % 64 == 0 and arr.strides == (4 * N + 64, 4)
     monkeypatch.setattr(tensor, "_padded", lambda m, n, dtype: None)
     want = _banded_run(a0, b0, r0, band, True, True)
@@ -874,7 +874,7 @@ def test_tracker_counts_a_padded_output_by_its_base_buffer():
     tracker.start()
     try:
         out = matmul(w, x)
-        assert tensor._is_padded(out.data) and out.data.nbytes < base_bytes
+        assert tensor._owns_base(out.data) and out.data.nbytes < base_bytes
         assert tracker.live_bytes == out.data.base.nbytes == base_bytes
         del out
         assert tracker.live_bytes == 0
@@ -883,7 +883,7 @@ def test_tracker_counts_a_padded_output_by_its_base_buffer():
             loss = sum_all(matmul(w, x))
             before = tracker.live_bytes
             tape.backward(loss)
-        assert tensor._is_padded(x.grad)
+        assert tensor._owns_base(x.grad)
         assert tracker.live_bytes - before == base_bytes
     finally:
         tracker.stop()
