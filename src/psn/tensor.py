@@ -352,7 +352,8 @@ _PIECE_MAX_K = 11
 # the T=16, N=2048 layer's forward ran 2-42% slower.
 _PAD_MIN_ROWS = 32
 _PAD_MIN_BYTES = 4 << 20
-# One cache line: the alignment of a padded output and its row padding.
+# One cache line: the alignment of an _aligned view and a padded output's
+# row padding.
 _PAD = 64
 
 # id -> each view _aligned handed out, while it lives.
