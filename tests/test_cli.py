@@ -4,6 +4,7 @@ Most cases drive ``main()`` in process for speed; true process exit codes
 (argparse usage errors, the module entry point) get one subprocess each.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -153,6 +154,32 @@ def test_manifest_replay_is_bit_identical(train_run, tmp_path):
         (train_run / "history.txt").read_bytes()
     assert (rerun / "model.ckpt").read_bytes() == \
         (train_run / "model.ckpt").read_bytes()
+
+
+_DIGESTS = os.path.join(os.path.dirname(__file__), "train_digests.json")
+
+
+def test_training_writes_the_committed_digests(tmp_path):
+    """``psn train --seed 3 --epochs 3`` of every kind writes the bytes of
+    history.txt and model.ckpt recorded in train_digests.json under this
+    numpy version and BLAS build. A change that alters them on purpose
+    updates that table."""
+    from psn.cli import _NEURON_CHOICES, _openblas
+    from psn.neurons import ORDER_KINDS
+
+    key = f"numpy {np.__version__} | {_openblas()[1]}"
+    table = _read_json(_DIGESTS)
+    if key not in table:
+        pytest.skip(f"no training digests recorded for {key!r}")
+    got = {}
+    for kind in _NEURON_CHOICES:
+        out_dir = tmp_path / kind
+        order = ["--order", "2"] if kind in ORDER_KINDS else []
+        assert _run(["train", "--neuron", kind, *order, "--seed", "3",
+                     "--epochs", "3", "--out-dir", str(out_dir)]) == EXIT_OK
+        got[kind] = {name: hashlib.sha256((out_dir / name).read_bytes())
+                     .hexdigest() for name in ("history.txt", "model.ckpt")}
+    assert got == table[key]
 
 
 def test_eval_reproduces_training_accuracy(train_run, capsys):
