@@ -21,13 +21,13 @@ their rows lie 64 bytes more than a row apart, and the product takes about
 0.7x the time with the same bits.
 
 A call that a tape records runs the ``matmul`` and ``heaviside_surrogate``
-ops, and so does any call of one block. Any other call (inference,
-``evaluate()``) is never taped and fires each block of H while it is
-still in L2: a short contraction (T <= 11) over more than two blocks of
-about 2^16 elements (``vanilla._COLS``, the IF/LIF array loop's block) is
-charged block by block through ``psn.tensor._product``, whose
-column-split products keep one call's bits at that T, and each block is
-fired before the next is charged. ``h`` and ``s`` are the ops' bits.
+ops, and so does any call of at most two column blocks. Any other call
+(inference, ``evaluate()``) is never taped and fires each block of H
+while it is still in L2: where ``psn.tensor._column_blocks``, the one
+rule that cuts short products, cuts the charge (T <= 11) into more than
+two blocks of about 2^16 elements, each block is charged by one
+``np.matmul`` and fired before the next is charged. The blocks are the
+``matmul`` op's own column pieces, so ``h`` and ``s`` are the ops' bits.
 
 Initialization follows the reference recipe: dense weights from
 U(-sqrt(5), sqrt(5)), sliding weights 2^(i-k+1) (newest weight 1, halving
@@ -39,11 +39,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError, ShapeMismatchError
-from ..tensor import (_PIECE_MAX_K, Tensor, _aligned, _column_pieces,
-                      _product, active_tape, matmul, mul, taped_op)
+from ..tensor import (Tensor, _aligned, _column_blocks, active_tape, matmul,
+                      mul, taped_op)
 from .surrogate import _broadcast_threshold, _fire, heaviside_surrogate
 from .trace import SpikeTrace
-from .vanilla import _COLS
 
 _INIT_BOUND = float(np.sqrt(5.0))
 
@@ -158,23 +157,15 @@ def _check_charge_input(x, num_steps):
             f"for {num_steps}")
 
 
-def _column_blocks(T, N):
-    """Column slices of the untaped walk: about ``_COLS`` elements, so
-    ``_COLS // T`` columns, per block where T <= _PIECE_MAX_K and the
-    charge spans more than two blocks, else one block."""
-    if T > _PIECE_MAX_K or T * N <= 2 * _COLS:
-        return (slice(0, N),)
-    return _column_pieces(N, -(-T * N // _COLS))
-
-
 def _charge_fire(a, x, threshold, band, relaxed):
     """H = A X and S = Theta(H - threshold): the ``matmul`` and
     ``heaviside_surrogate`` ops, which a tape records if one is active and
-    an input requires grad, else the walk over several ``_column_blocks``
-    that the module docstring describes."""
+    an input requires grad, else the walk over more than two
+    ``_column_blocks`` that the module docstring describes."""
     recording = active_tape() is not None and (
         a.requires_grad or x.requires_grad or threshold.requires_grad)
-    if recording or len(blocks := _column_blocks(*x.data.shape)) == 1:
+    T, N = x.data.shape
+    if recording or len(blocks := _column_blocks(T, T, N)) <= 2:
         h = matmul(a, x, band=band)
         return SpikeTrace(heaviside_surrogate(h, threshold, relaxed=relaxed),
                           h=h)
@@ -185,7 +176,7 @@ def _charge_fire(a, x, threshold, band, relaxed):
     h = _aligned(*xd.shape, np.result_type(ad, xd))
     s = _aligned(*xd.shape, h.dtype)
     for c in blocks:
-        _product(ad, xd[:, c], h[:, c])
+        np.matmul(ad, xd[:, c], out=h[:, c])
         _fire(h[:, c], thb, relaxed, s[:, c])
     return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
 

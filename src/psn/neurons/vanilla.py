@@ -5,12 +5,14 @@ H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
 resting potential 0), fire (Theta against v_th with surrogate gradient) and
 reset (hard: jump to v_reset; none: V = H), from a potential of 0, with
 tau_m 2, v_th 1 and v_reset +0.0 fixed. Both reset modes run one array
-loop over one (T, M) block walk. ``vanilla_sequence`` runs the hard reset:
-a call that a tape records takes a taped op per stage and step, and any
-other call the array loop, with the same bits. ``parallel_no_reset`` runs
-the reset-free mode, a fixed linear recurrence, as one taped op around the
-array loop, whose backward walks the blocks in reverse. The hard reset makes
-the recurrence nonlinear in the spikes, so each refuses the other's mode.
+loop over one (T, M) block walk, of about ``psn.tensor._COLS`` elements a
+block, the column block of short products. ``vanilla_sequence`` runs the
+hard reset: a call that a tape records takes a taped op per stage and
+step, and any other call the array loop, with the same bits.
+``parallel_no_reset`` runs the reset-free mode, a fixed linear recurrence,
+as one taped op around the array loop, whose backward walks the blocks in
+reverse. The hard reset makes the recurrence nonlinear in the spikes, so
+each refuses the other's mode.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
-from ..tensor import (Tensor, active_tape, add, scale, split_rows, stack_rows,
-                      taped_op)
+from ..tensor import (_COLS, Tensor, active_tape, add, scale, split_rows,
+                      stack_rows, taped_op)
 from .surrogate import _fire, _sigma_times, heaviside_surrogate
 from .trace import SpikeTrace
 
@@ -128,22 +130,12 @@ def vanilla_sequence(x, p, *, relaxed=False):
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
 
 
-# Columns per block of the array loop and its backward, and about the
-# elements a block holds: one 256 KiB row at N=65536 float32, so a block is
-# charged, fired and carried (or differentiated) while it is in L2. The
-# untaped PSN walk (parallel._column_blocks) holds as many elements, in
-# _COLS // T columns of all T rows: 2^15 at kernel-short's T=2, where its
-# X, H and S blocks take 768 KiB. In four probes of perfbench's
-# kernel-short rounds that width ran 2-7% faster than 2^16 columns and
-# 3-8% faster than 2^14.
-_COLS = 1 << 16
-
-
 def _blocks(T, M):
     """(rows, columns) slices over a (T, M) array: column blocks of at most
-    ``_COLS``, each cut in order into rows enough for about ``_COLS``
-    elements. An array of at most two blocks is one block; blocked, T=16,
-    N=8192 ran slower."""
+    ``psn.tensor._COLS`` columns, each cut in order into rows enough for
+    about ``_COLS`` elements, so a block is charged, fired and carried (or
+    differentiated) while it is in L2. An array of at most two blocks is one
+    block; blocked, T=16, N=8192 ran slower."""
     if T * M <= 2 * _COLS:
         return [(slice(0, T), slice(0, M))]
     cols = min(M, _COLS)

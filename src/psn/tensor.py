@@ -339,11 +339,12 @@ def taped_op(inputs, out_data, backward):
 # (T, N) @ (N, T) with N in the millions, about 4x slower in one call than
 # in 2^16-wide slices, whose (2, 2^16) @ (2^16, 2) stays under 100^3 at T=2.
 _CHUNK = 1 << 16
-# OpenBLAS multiplies without packing its operands while M*N*K <= 100^3.
-# Above that it packs them first, which costs about twice as much per output
-# column when the contraction is short (K ~ 10): a (2x5)@(5xC) product took
-# 1.4 ns per column at C=100000 and 3.0 ns at C=100001.
-_SMALL_GEMM = 100 ** 3
+# Elements per column block of a short product, about one L2-resident
+# block. At a contraction of at most _PIECE_MAX_K a block is at most
+# 11 * 2^16 < 100^3 multiply-adds, the size up to which OpenBLAS multiplies
+# without packing its operands; packed, a (2x5)@(5xC) product took 3.0 ns
+# per column at C=100001 against 1.4 ns at C=100000.
+_COLS = 1 << 16
 # Longest contraction cut into pieces. Float64 pieces kept one call's bits
 # up to K=11 in every probe and lost them from K=12 in some (float32 ones
 # up to K=31), and a T=64 dense charge in pieces took twice as long.
@@ -400,11 +401,13 @@ def _buffer_bytes(arr):
     return arr.nbytes if arr.base is None else arr.base.nbytes
 
 
-def _column_pieces(n, pieces):
-    """``pieces`` near-equal column slices of [0, n), or the one slice if a
-    piece would be under two columns wide: a one-column product goes to
-    gemv and sums in another order."""
-    if pieces < 2 or n < 2 * pieces:
+def _column_blocks(m, k, n):
+    """Column slices of an (m, k) @ (k, n) product: ceil(m*n / _COLS)
+    near-equal slices if k <= _PIECE_MAX_K and m*n > _COLS, else one. It
+    is one slice, too, where a slice would be under two columns wide: a
+    one-column product goes to gemv and sums in another order."""
+    pieces = -(-m * n // _COLS)
+    if k > _PIECE_MAX_K or pieces < 2 or n < 2 * pieces:
         return (slice(0, n),)
     return [slice(i * n // pieces, (i + 1) * n // pieces)
             for i in range(pieces)]
@@ -418,9 +421,9 @@ def _product(a, b, out=None, plain=False):
       rows, each a multiple of 4 KiB, and 4 MiB in all, it is a
       64-byte-aligned, non-contiguous view with rows 64 bytes more than a
       row apart.
-    - Unless ``plain``, a product with K <= _PIECE_MAX_K and M*K*N >
-      _SMALL_GEMM is written as ceil(M*K*N / _SMALL_GEMM) column pieces
-      (``_column_pieces``), each under OpenBLAS's small-matrix threshold.
+    - Unless ``plain``, a product is written in the column slices of
+      ``_column_blocks``: with K <= _PIECE_MAX_K, blocks of about _COLS
+      output elements, each under OpenBLAS's small-matrix threshold.
 
     Any other product is the single call ``np.matmul(a, b, out=out)``,
     which without ``out`` is ``a @ b``. ``linear``, whose outputs are
@@ -439,15 +442,14 @@ def _product(a, b, out=None, plain=False):
     # gate's dtype lookups.
     if out is None and m >= _PAD_MIN_ROWS:
         out = _padded(m, n, np.result_type(a, b))
-    if k <= _PIECE_MAX_K:
-        cuts = _column_pieces(n, -(-m * k * n // _SMALL_GEMM))
-        if len(cuts) > 1:
-            if out is None:
-                out = np.empty((m, n), dtype=np.result_type(a, b))
-            for c in cuts:
-                np.matmul(a, b[:, c], out=out[:, c])
-            return out
-    return np.matmul(a, b, out=out)
+    cuts = _column_blocks(m, k, n)
+    if len(cuts) == 1:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    for c in cuts:
+        np.matmul(a, b[:, c], out=out[:, c])
+    return out
 
 
 # Output rows per GEMM of a banded matmul: 8 rows keep the contraction,

@@ -411,7 +411,7 @@ def _family_input(T, N, dtype):
 
 
 # With blocks of 8 columns (_COLS = 8 T elements): N=16 spans exactly two
-# blocks (one block); N=17 two blocks and a column; N=25 three and a
+# blocks (so the ops run); N=17 two blocks and a column; N=25 three and a
 # column; N=100 many.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("N", [16, 17, 25, 100])
@@ -422,7 +422,7 @@ def _family_input(T, N, dtype):
                          ["psn", "masked-psn-1", "masked-psn-0.5", "spsn"])
 def test_untaped_walk_is_the_taped_forward_bit_for_bit(kind, relaxed, dtype,
                                                       T, N, monkeypatch):
-    monkeypatch.setattr(parallel, "_COLS", 8 * T)
+    monkeypatch.setattr(tensor, "_COLS", 8 * T)
     p = _family(kind, T, dtype)
     x0 = _family_input(T, N, dtype)
     x = Tensor(x0, requires_grad=True)
@@ -444,12 +444,11 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
     # never walks. Any other call, evaluate()'s requires-grad input under
     # no_tape() included, records nothing and walks the blocks of 8
     # columns.
-    monkeypatch.setattr(parallel, "_COLS", 32)
-    walks = []
-    column_blocks = parallel._column_blocks
-    monkeypatch.setattr(parallel, "_column_blocks",
-                        lambda *a: walks.append(column_blocks(*a))
-                        or walks[-1])
+    monkeypatch.setattr(tensor, "_COLS", 32)
+    fires = []
+    fire = parallel._fire
+    monkeypatch.setattr(parallel, "_fire",
+                        lambda *a: fires.append(a) or fire(*a))
     T, N = 4, 40
     p = _family(kind, T, np.float32)
     x = Tensor(np.ones((T, N), np.float32), requires_grad=True)
@@ -460,24 +459,25 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
         assert [b.__qualname__.partition(".")[0]
                 for _, _, b in tape._records] \
             == built[kind] + ["matmul", "heaviside_surrogate"]
-    assert not walks
+    assert not fires
     with Tape() as tape:
         with no_tape():
             p.forward(x)
     free = p.forward(x)
     assert len(tape) == 0
-    assert [len(w) for w in walks] == [5, 5]
+    # Two walks of 5 blocks each: 4 x 40 elements in blocks of 32.
+    assert len(fires) == 10
     # The walk's h and s start on a cache line and own their buffers.
     for arr in (free.h.data, free.s.data):
         assert tensor._owns_base(arr) and arr.ctypes.data % 64 == 0
 
 
 def test_evaluate_walks_untaped(monkeypatch):
-    monkeypatch.setattr(parallel, "_COLS", 16)
-    products = []
-    product = parallel._product
-    monkeypatch.setattr(parallel, "_product",
-                        lambda *a: products.append(a) or product(*a))
+    monkeypatch.setattr(tensor, "_COLS", 16)
+    fires = []
+    fire = parallel._fire
+    monkeypatch.setattr(parallel, "_fire",
+                        lambda *a: fires.append(a) or fire(*a))
     rng = np.random.default_rng(56)
     batch = SequenceBatch(Tensor(rng.standard_normal((2, 24, 3))),
                           rng.integers(0, 2, 24))
@@ -488,17 +488,17 @@ def test_evaluate_walks_untaped(monkeypatch):
         evaluate(model, batch)
     assert len(tape) == 0
     # 24 samples of 4 channels: 96 columns, 12 blocks of 8.
-    assert len(products) == 12
+    assert len(fires) == 12
 
 
 @pytest.mark.parametrize("T", [1, 2, 11, 12, 64])
 @pytest.mark.parametrize("N", [0, 1, 16, 17, 24, 25, 33, 100, 1001])
 def test_column_blocks_cover_every_column_once(T, N, monkeypatch):
-    monkeypatch.setattr(parallel, "_COLS", 8 * T)
-    cols = parallel._COLS // T
-    blocks = parallel._column_blocks(T, N)
+    monkeypatch.setattr(tensor, "_COLS", 8 * T)
+    cols = tensor._COLS // T
+    blocks = tensor._column_blocks(T, T, N)
     assert [c for b in blocks for c in range(N)[b]] == list(range(N))
-    if T > tensor._PIECE_MAX_K or N <= 2 * cols:
+    if T > tensor._PIECE_MAX_K or N <= cols:
         assert list(blocks) == [slice(0, N)]
     else:
         assert len(blocks) == -(-N // cols)

@@ -359,7 +359,7 @@ def test_column_pieces_keep_the_bits_of_one_call(dtype, monkeypatch):
         r0 = rng.standard_normal((T, N)).astype(dtype)
         out, _, gb = _banded_run(a0, b0, r0, k, False, True)
         with monkeypatch.context() as m:
-            m.setattr(tensor, "_SMALL_GEMM", 1 << 62)
+            m.setattr(tensor, "_COLS", 1 << 62)
             one_out, _, one_gb = _banded_run(a0, b0, r0, k, False, True)
         assert _same_bits(out, one_out), (T, k, N)
         assert _same_bits(gb, one_gb), (T, k, N)
@@ -390,10 +390,12 @@ class _CountingNumpy:
     (2, None, 100, False)])
 def test_short_contractions_split_into_even_pieces(T, k, N, splits,
                                                    monkeypatch):
-    """A product with K <= 11 and M K N > 100^3 makes ceil(M K N / 100^3)
-    np.matmul calls over near-equal column pieces that cover the output;
-    any other product (K > 11, or small) makes one call. The forward and
-    the gradient of b each make one product, or one per band block."""
+    """A product with K <= _PIECE_MAX_K and M N > _COLS makes
+    ceil(M N / _COLS) np.matmul calls over near-equal column pieces that
+    cover the output, each of at most 100^3 multiply-adds, so under
+    OpenBLAS's small-matrix threshold; any other product (longer K, or
+    small) makes one call. The forward and the gradient of b each make one
+    product, or one per band block."""
     calls = []
     real = tensor._product
 
@@ -412,10 +414,11 @@ def test_short_contractions_split_into_even_pieces(T, k, N, splits,
     split = False
     for (m, kk, n), widths in calls:
         assert sum(widths) == n
-        if kk <= 11 and m * kk * n > 100 ** 3:
+        if kk <= tensor._PIECE_MAX_K and m * n > tensor._COLS:
             split = True
-            assert len(widths) == -(-m * kk * n // 100 ** 3)
+            assert len(widths) == -(-m * n // tensor._COLS)
             assert 2 * min(widths) >= max(widths)
+            assert m * kk * max(widths) <= 100 ** 3
         else:
             assert len(widths) == 1
     assert split == splits

@@ -100,7 +100,7 @@ def test_conv_vs_matmul_catches_a_skipped_column_piece(monkeypatch):
         out = product(a, b, out)
         m, k = a.shape
         n = b.shape[1]
-        pieces = -(-m * k * n // tensor._SMALL_GEMM)
+        pieces = -(-m * n // tensor._COLS)
         if k <= tensor._PIECE_MAX_K and pieces > 1:
             calls.append(pieces)
             out[:, (pieces - 1) * n // pieces:] = 0
