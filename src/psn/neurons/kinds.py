@@ -39,6 +39,8 @@ def make(kind, num_steps, rng, opts=None):
         raise ContractError(f"{kind} needs opts['order']")
     if kind in T_SIZED_KINDS and num_steps is None:
         raise ContractError(f"{kind} needs the number of time steps")
+    if num_steps is not None and num_steps < 1:
+        raise ContractError(f"need at least one time step, got {num_steps}")
     if kind == "psn":
         return PSNParams.create(num_steps, rng)
     if kind == "masked-psn":

@@ -147,6 +147,9 @@ class SlidingPSNParams:
 
 
 def _check_charge_input(x, num_steps):
+    if x.data.dtype.kind != "f":
+        raise ContractError(
+            f"PSN charge input must be floating-point, got {x.data.dtype}")
     if x.data.ndim != 2:
         raise ShapeMismatchError(
             f"PSN charge input must be 2-D (time, flattened batch), got "

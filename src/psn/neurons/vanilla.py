@@ -98,6 +98,9 @@ def _select_reset(hd, sd, out=None):
 
 
 def _check_time_axis(xd, caller):
+    if xd.dtype.kind != "f":
+        raise ContractError(
+            f"{caller} needs a floating-point input, got {xd.dtype}")
     if xd.ndim == 0 or len(xd) == 0:
         raise ContractError(f"{caller} needs a non-empty time axis")
 

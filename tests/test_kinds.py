@@ -81,3 +81,21 @@ def test_make_rejects_bad_requests():
             make(kind, 4, rng)
     with pytest.raises(ContractError):
         make("psn", None, rng)
+    for num_steps in (0, -1):
+        for kind in KINDS:
+            with pytest.raises(ContractError, match="at least one time step"):
+                make(kind, num_steps, rng, _opts(kind, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.complex64, np.bool_])
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_rejects_a_non_float_input(kind, taped, dtype):
+    T, N = 4, 6
+    p = make(kind, T, np.random.default_rng(7), _opts(kind, 2))
+    x0 = np.random.default_rng([7, T, N]).standard_normal((T, N))
+    x = Tensor(x0.astype(dtype), requires_grad=taped, dtype=dtype)
+    with Tape() as tape:
+        with pytest.raises(ContractError, match="floating-point"):
+            p.forward(x)
+    assert len(tape) == 0
