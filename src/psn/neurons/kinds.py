@@ -12,6 +12,8 @@ array loop over one block walk.
 
 from __future__ import annotations
 
+import numbers
+
 from ..errors import ContractError
 from .parallel import MaskedPSNParams, PSNParams, SlidingPSNParams
 from .vanilla import VanillaNeuronParams
@@ -39,8 +41,11 @@ def make(kind, num_steps, rng, opts=None):
         raise ContractError(f"{kind} needs opts['order']")
     if kind in T_SIZED_KINDS and num_steps is None:
         raise ContractError(f"{kind} needs the number of time steps")
-    if num_steps is not None and num_steps < 1:
-        raise ContractError(f"need at least one time step, got {num_steps}")
+    if num_steps is not None and not (
+            isinstance(num_steps, numbers.Integral)
+            and not isinstance(num_steps, bool) and num_steps >= 1):
+        raise ContractError(
+            f"need an integer of at least one time step, got {num_steps!r}")
     if kind == "psn":
         return PSNParams.create(num_steps, rng)
     if kind == "masked-psn":

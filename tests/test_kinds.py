@@ -81,7 +81,7 @@ def test_make_rejects_bad_requests():
             make(kind, 4, rng)
     with pytest.raises(ContractError):
         make("psn", None, rng)
-    for num_steps in (0, -1):
+    for num_steps in (0, -1, 2.5, "3", True):
         for kind in KINDS:
             with pytest.raises(ContractError, match="at least one time step"):
                 make(kind, num_steps, rng, _opts(kind, 1))
