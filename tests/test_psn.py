@@ -467,6 +467,9 @@ def test_charge_fire_records_the_two_ops_or_walks_untaped(kind, monkeypatch):
     assert len(tape) == 0
     # Two walks of 5 blocks each: 4 x 40 elements in blocks of 32.
     assert len(fires) == 10
+    # Two blocks run the ops: walking them was slower.
+    p.forward(Tensor(np.ones((T, 16), np.float32)))
+    assert len(fires) == 10
     # The walk's h and s start on a cache line and own their buffers.
     for arr in (free.h.data, free.s.data):
         assert tensor._owns_base(arr) and arr.ctypes.data % 64 == 0
