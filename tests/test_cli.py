@@ -160,10 +160,10 @@ _DIGESTS = os.path.join(os.path.dirname(__file__), "train_digests.json")
 
 
 def test_training_writes_the_committed_digests(tmp_path):
-    """``psn train --seed 3 --epochs 3`` of every kind writes the bytes of
-    history.txt and model.ckpt recorded in train_digests.json under this
-    numpy version and BLAS build. A change that alters them on purpose
-    updates that table."""
+    """``psn train --seed 3 --epochs 3`` of every kind, and of the PSN with
+    the per-step head, writes the bytes of history.txt and model.ckpt
+    recorded in train_digests.json under this numpy version and BLAS build.
+    A change that alters them on purpose updates that table."""
     from psn.cli import _NEURON_CHOICES, _openblas
     from psn.neurons import ORDER_KINDS
 
@@ -171,14 +171,18 @@ def test_training_writes_the_committed_digests(tmp_path):
     table = _read_json(_DIGESTS)
     if key not in table:
         pytest.skip(f"no training digests recorded for {key!r}")
+    runs = [(kind, ["--neuron", kind,
+                    *(["--order", "2"] if kind in ORDER_KINDS else [])])
+            for kind in _NEURON_CHOICES]
+    runs.append(("psn-per-step", ["--neuron", "psn", "--head", "per-step",
+                                  "--loss", "tet", "--optimizer", "sgd"]))
     got = {}
-    for kind in _NEURON_CHOICES:
-        out_dir = tmp_path / kind
-        order = ["--order", "2"] if kind in ORDER_KINDS else []
-        assert _run(["train", "--neuron", kind, *order, "--seed", "3",
-                     "--epochs", "3", "--out-dir", str(out_dir)]) == EXIT_OK
-        got[kind] = {name: hashlib.sha256((out_dir / name).read_bytes())
-                     .hexdigest() for name in ("history.txt", "model.ckpt")}
+    for name, flags in runs:
+        out_dir = tmp_path / name
+        assert _run(["train", *flags, "--seed", "3", "--epochs", "3",
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        got[name] = {f: hashlib.sha256((out_dir / f).read_bytes())
+                     .hexdigest() for f in ("history.txt", "model.ckpt")}
     assert got == table[key]
 
 
