@@ -7,12 +7,12 @@ _NUMPY_OVERSIZE = ("Maximum allowed dimension exceeded",
                    "Maximum allowed size exceeded", "array is too big")
 
 
-class ShapeMismatchError(ValueError):
-    """Operands have incompatible shapes. The message names both shapes."""
-
-
 class ContractError(ValueError):
     """A documented precondition was violated (bad config value, misuse of an op)."""
+
+
+class ShapeMismatchError(ContractError):
+    """Operands have incompatible shapes. The message names both shapes."""
 
 
 class DivergenceError(RuntimeError):
