@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractError, ShapeMismatchError
+from ..errors import ContractError
 from ..tensor import (Tensor, _aligned, _column_blocks, active_tape, matmul,
                       mul, taped_op)
 from .surrogate import _broadcast_threshold, _fire, heaviside_surrogate
-from .trace import SpikeTrace
+from .trace import SpikeTrace, _check_input
 
 _INIT_BOUND = float(np.sqrt(5.0))
 
@@ -146,20 +146,6 @@ class SlidingPSNParams:
         return spsn_forward(x, self, relaxed=relaxed)
 
 
-def _check_charge_input(x, num_steps):
-    if x.data.dtype.kind != "f":
-        raise ContractError(
-            f"PSN charge input must be floating-point, got {x.data.dtype}")
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(
-            f"PSN charge input must be 2-D (time, flattened batch), got "
-            f"shape {x.data.shape}")
-    if num_steps is not None and x.data.shape[0] != num_steps:
-        raise ShapeMismatchError(
-            f"input has {x.data.shape[0]} time steps but the layer was built "
-            f"for {num_steps}")
-
-
 def _charge_fire(a, x, threshold, band, relaxed):
     """H = A X and S = Theta(H - threshold): the ``matmul`` and
     ``heaviside_surrogate`` ops, which a tape records if one is active and
@@ -186,7 +172,7 @@ def _charge_fire(a, x, threshold, band, relaxed):
 
 def psn_forward(x, p, *, relaxed=False):
     """H = W X; S = Theta(H - B), B broadcast over the batch axis."""
-    _check_charge_input(x, p.num_steps)
+    _check_input(x, "psn_forward", p.num_steps)
     return _charge_fire(p.weight, x, p.threshold, None, relaxed)
 
 
@@ -214,7 +200,7 @@ def masked_psn_forward(x, p, *, relaxed=False):
 
     At lambda 1 the blend is the mask itself, so the product is banded.
     """
-    _check_charge_input(x, p.num_steps)
+    _check_input(x, "masked_psn_forward", p.num_steps)
     band = p.order_k if p.lam == 1.0 else None
     return _charge_fire(mul(p.weight, p.blended), x, p.threshold, band,
                         relaxed)
@@ -261,6 +247,6 @@ def spsn_forward(x, p, *, relaxed=False):
     T comes from ``x``, not the parameters: the same kernel serves any
     sequence length.
     """
-    _check_charge_input(x, None)
+    _check_input(x, "spsn_forward")
     a = spsn_build_A(p, x.data.shape[0])
     return _charge_fire(a, x, p.threshold, p.order_k, relaxed)

@@ -25,7 +25,7 @@ from ..errors import ContractError
 from ..tensor import (_COLS, Tensor, active_tape, add, scale, split_rows,
                       stack_rows, taped_op)
 from .surrogate import _fire, _sigma_times, heaviside_surrogate
-from .trace import SpikeTrace
+from .trace import SpikeTrace, _check_input
 
 
 @dataclass
@@ -97,26 +97,18 @@ def _select_reset(hd, sd, out=None):
     return out
 
 
-def _check_time_axis(xd, caller):
-    if xd.dtype.kind != "f":
-        raise ContractError(
-            f"{caller} needs a floating-point input, got {xd.dtype}")
-    if xd.ndim == 0 or len(xd) == 0:
-        raise ContractError(f"{caller} needs a non-empty time axis")
-
-
 def vanilla_sequence(x, p, *, relaxed=False):
-    """Run the hard-reset loop over the leading time axis of ``x``. A call
-    that records (x requires grad, a tape is active) tapes per step a charge
-    (IF: an add; LIF: two scales and an add), a fire and a reset; any other
-    call runs ``_array_loop``."""
+    """Run the hard-reset loop over the T rows of the (T, N) input ``x``. A
+    call that records (x requires grad, a tape is active) tapes per step a
+    charge (IF: an add; LIF: two scales and an add), a fire and a reset; any
+    other call runs ``_array_loop``."""
+    _check_input(x, "vanilla_sequence")
     if p.reset_mode != "hard":
         raise ContractError("vanilla_sequence runs the hard reset only; the "
                             "reset-free kinds run parallel_no_reset")
     if not x.requires_grad or active_tape() is None:
-        h, s = _array_loop(x.data, p, relaxed, "vanilla_sequence")
+        h, s = _array_loop(x.data, p, relaxed)
         return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
-    _check_time_axis(x.data, "vanilla_sequence")
     rows = split_rows(x)
     v = Tensor._make(np.zeros(rows[0].data.shape, x.data.dtype), False)
     inv = 1.0 / p.tau_m
@@ -168,9 +160,9 @@ def _recurrence(rows, decay, start, stop, carry):
         prev = row
 
 
-def _array_loop(xd, p, relaxed, caller):
-    """(h, s) of ``p`` along axis 0 of ``xd``, written in place block by
-    block; ``caller`` names the public function in an empty input's error.
+def _array_loop(xd, p, relaxed):
+    """(h, s) of ``p`` over the T rows of the (T, N) ``xd``, written in
+    place block by block.
 
     Hard: per row, charge into h with the taped loop's operands in its
     order from a carry of +0.0 (IF adds it unscaled), fire into s and reset
@@ -178,26 +170,23 @@ def _array_loop(xd, p, relaxed, caller):
     nothing reads, is skipped. Reset-free: scale a block into h, carry it on
     from the row before, fire it; so h[0] = scale * x[0], with no +0.0.
     """
-    _check_time_axis(xd, caller)
     h = np.empty(xd.shape, xd.dtype)
     s = np.empty_like(h)
-    hr = h.reshape(len(h), h[0].size)
-    xr, sr = xd.reshape(hr.shape), s.reshape(hr.shape)
     decay, scale, v_th = _constants(p, xd.dtype.type)
-    blocks = _blocks(*hr.shape)
+    blocks = _blocks(*xd.shape)
     carry = np.empty((2, blocks[0][1].stop), xd.dtype)
     for rows, cols in blocks:
         if p.reset_mode == "none":
-            hb = hr[rows, cols]
-            np.multiply(xr[rows, cols], scale, hb)
-            _recurrence(hr[:, cols], decay, rows.start, rows.stop,
+            hb = h[rows, cols]
+            np.multiply(xd[rows, cols], scale, hb)
+            _recurrence(h[:, cols], decay, rows.start, rows.stop,
                         carry[0, :hb.shape[1]])
-            _fire(hb, v_th, relaxed, sr[rows, cols])
+            _fire(hb, v_th, relaxed, s[rows, cols])
             continue
         if rows.start == 0:
             v, xs = carry[:, :cols.stop - cols.start]
             v.fill(0)
-        steps = zip(xr[rows, cols], hr[rows, cols], sr[rows, cols])
+        steps = zip(xd[rows, cols], h[rows, cols], s[rows, cols])
         for t, (x_t, h_t, s_t) in enumerate(steps, rows.start):
             if p.kind == "if":
                 np.add(v, x_t, h_t)
@@ -220,11 +209,8 @@ def _array_loop_backward(h, gh, gs, p):
     v_th) * gs + gh, times scale, then the reverse carry; elementwise the
     surrogate backward's and the recurrence transpose's operations."""
     dx = np.empty(h.shape, h.dtype)
-    rows = dx.reshape(len(h), h[0].size)
-    h, gh, gs = (None if a is None else a.reshape(rows.shape)
-                 for a in (h, gh, gs))
     decay, scale, v_th = _constants(p, h.dtype.type)
-    blocks = _blocks(*rows.shape)
+    blocks = _blocks(*h.shape)
     carry = np.empty(blocks[0][1].stop, h.dtype)
     for r, c in reversed(blocks):
         if gs is None:
@@ -233,8 +219,8 @@ def _array_loop_backward(h, gh, gs, p):
             d = _sigma_times(h[r, c] - v_th, gs[r, c])
             if gh is not None:
                 np.add(gh[r, c], d, out=d)
-        np.multiply(d, scale, out=rows[r, c])
-        _recurrence(rows[::-1, c], decay, len(h) - r.stop, len(h) - r.start,
+        np.multiply(d, scale, out=dx[r, c])
+        _recurrence(dx[::-1, c], decay, len(h) - r.stop, len(h) - r.start,
                     carry[:d.shape[1]])
     return dx
 
@@ -243,11 +229,12 @@ def parallel_no_reset(x, p, *, relaxed=False):
     """Whole-sequence charge and fire of a reset-free IF/LIF: one taped op
     around ``_array_loop`` whose outputs are the charge h and the spikes s,
     so ``trace.h`` stays differentiable."""
+    _check_input(x, "parallel_no_reset")
     if p.reset_mode != "none":
         raise ContractError(
             "reset is not parallelizable: the whole-sequence form only "
             "exists for reset_mode='none'")
-    hd, sd = _array_loop(x.data, p, relaxed, "parallel_no_reset")
+    hd, sd = _array_loop(x.data, p, relaxed)
 
     def backward(gouts):
         return (_array_loop_backward(hd, *gouts, p),)

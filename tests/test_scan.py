@@ -154,8 +154,10 @@ def _layer_and_grad(forward, x0, loss, seed):
 
 # Blocks of 2^16 columns and about 2^16 elements: one row each; 65 rows
 # twice then the last 10; the whole array, which is at most two blocks; a
-# row longer than a block in two column blocks; a 1-D input; a 3-D one in
-# row blocks of 2; no columns at all.
+# row longer than a block in two column blocks; one column; 24000 columns in
+# row blocks of 2; no columns at all. Each shape is the layout the input is
+# drawn in; a layer takes it as (T, N), the (9,) sequence as (9, 1) and the
+# (6, 4, 6000) batch as (6, 24000), as a model flattens its batch.
 _FUSED_SHAPES = [(3, 65536), (140, 1000), (16, 2048), (2, 70000), (9,),
                  (6, 4, 6000), (4, 0)]
 
@@ -190,7 +192,8 @@ def test_fused_op_is_bit_identical_to_two_ops(kind, dtype, shape, loss,
                                               relaxed):
     p = VanillaNeuronParams(kind=kind, reset_mode="none")
     rng = np.random.default_rng([17, len(shape), shape[0]])
-    x0 = (rng.standard_normal(shape) * 1.5).astype(dtype)
+    x0 = rng.standard_normal(shape).reshape(shape[0], -1)
+    x0 = (x0 * 1.5).astype(dtype)
 
     def fused(x):
         trace = parallel_no_reset(x, p, relaxed=relaxed)

@@ -240,12 +240,12 @@ def _taped_no_reset(x, p, relaxed=False):
 
 
 # With 8-element blocks, which split columns and rows: one row; N below, at
-# and past a block and not a multiple of it; a (T, B, C) input whose 15
-# columns span two blocks; 9 rows of 2 columns in row blocks of 4, so the
-# carry crosses row blocks within one column block.
+# and past a block and not a multiple of it; 15 columns over two blocks; 9
+# rows of 2 columns in row blocks of 4, so the carry crosses row blocks
+# within one column block.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", [(1, 13), (3, 6), (3, 8), (4, 13),
-                                   (4, 3, 5), (9, 2)])
+                                   (4, 15), (9, 2)])
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("relaxed", [False, True])
 @pytest.mark.parametrize("reset_mode", ["hard", "none"])
@@ -275,7 +275,7 @@ def test_in_place_loop_crosses_its_column_block_bit_for_bit(kind):
 
 
 def test_in_place_loop_takes_steps_of_no_columns():
-    x = np.ones((3, 2, 0))
+    x = np.ones((3, 0))
     p = VanillaNeuronParams(kind="lif", reset_mode="hard")
     _assert_same_bits(vanilla_sequence(Tensor(x), p), _taped(x, p))
 
