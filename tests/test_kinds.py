@@ -7,6 +7,7 @@ from psn.errors import ContractError
 from psn.neurons import (KINDS, ORDER_KINDS, MaskedPSNParams, PSNParams,
                         make, masked_psn_forward, parallel_no_reset,
                         psn_forward, spsn_forward, vanilla_sequence)
+from psn.neurons.kinds import T_SIZED_KINDS
 from psn.tensor import Tape, Tensor
 
 # The public forward each kind's ``forward`` method must run.
@@ -95,7 +96,28 @@ def test_every_kind_rejects_a_non_float_input(kind, taped, dtype):
     p = make(kind, T, np.random.default_rng(7), _opts(kind, 2))
     x0 = np.random.default_rng([7, T, N]).standard_normal((T, N))
     x = Tensor(x0.astype(dtype), requires_grad=taped, dtype=dtype)
+    name = _PUBLIC_FORWARD[kind].__name__
     with Tape() as tape:
-        with pytest.raises(ContractError, match="floating-point"):
+        with pytest.raises(ContractError,
+                           match=f"^{name} needs a floating-point input"):
             p.forward(x)
     assert len(tape) == 0
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_rejects_an_input_that_is_not_t_by_n(kind, taped):
+    # 0-d, 1-d and 3-d inputs, no time steps, and for the kinds whose
+    # weights are T x T a T they were not built for.
+    T, N = 4, 6
+    p = make(kind, T, np.random.default_rng(7), _opts(kind, 2))
+    shapes = [(), (T,), (T, 2, 3), (0, N)]
+    if kind in T_SIZED_KINDS:
+        shapes.append((T + 1, N))
+    name = _PUBLIC_FORWARD[kind].__name__
+    for shape in shapes:
+        x = Tensor(np.ones(shape, np.float32), requires_grad=taped)
+        with Tape() as tape:
+            with pytest.raises(ContractError, match=f"^{name} "):
+                p.forward(x)
+        assert len(tape) == 0, shape
