@@ -12,7 +12,8 @@ class ContractError(ValueError):
 
 
 class ShapeMismatchError(ContractError):
-    """Operands have incompatible shapes. The message names both shapes."""
+    """A shape does not fit: operands that do not match, or an input that
+    breaks a forward's contract. The message names the shapes."""
 
 
 class DivergenceError(RuntimeError):

@@ -13,7 +13,7 @@ honest way to check a surrogate backward.
 
 Thresholds come in three shapes: a python scalar (fixed threshold), a
 learnable scalar tensor (sliding PSN), or a learnable per-time-step vector
-of length T against (T, ...) charges (PSN / masked PSN). Learnable
+of length T against (T, N) charges (PSN / masked PSN). Learnable
 thresholds receive the negated, reduced surrogate gradient.
 """
 

@@ -5,7 +5,7 @@ H[t] = V[t-1] + X[t]; LIF: H[t] = (1 - 1/tau_m) V[t-1] + X[t]/tau_m,
 resting potential 0), fire (Theta against v_th with surrogate gradient) and
 reset (hard: jump to v_reset; none: V = H), from a potential of 0, with
 tau_m 2, v_th 1 and v_reset +0.0 fixed. Both reset modes run one array
-loop over one (T, M) block walk, of about ``psn.tensor._COLS`` elements a
+loop over one (T, N) block walk, of about ``psn.tensor._COLS`` elements a
 block, the column block of short products. ``vanilla_sequence`` runs the
 hard reset: a call that a tape records takes a taped op per stage and
 step, and any other call the array loop, with the same bits.
@@ -125,18 +125,18 @@ def vanilla_sequence(x, p, *, relaxed=False):
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
 
 
-def _blocks(T, M):
-    """(rows, columns) slices over a (T, M) array: column blocks of at most
+def _blocks(T, N):
+    """(rows, columns) slices over a (T, N) array: column blocks of at most
     ``psn.tensor._COLS`` columns, each cut in order into rows enough for
     about ``_COLS`` elements, so a block is charged, fired and carried (or
     differentiated) while it is in L2. An array of at most two blocks is one
     block; blocked, T=16, N=8192 ran slower."""
-    if T * M <= 2 * _COLS:
-        return [(slice(0, T), slice(0, M))]
-    cols = min(M, _COLS)
+    if T * N <= 2 * _COLS:
+        return [(slice(0, T), slice(0, N))]
+    cols = min(N, _COLS)
     step = _COLS // cols
-    return [(slice(a, min(a + step, T)), slice(c, min(c + cols, M)))
-            for c in range(0, M, cols) for a in range(0, T, step)]
+    return [(slice(a, min(a + step, T)), slice(c, min(c + cols, N)))
+            for c in range(0, N, cols) for a in range(0, T, step)]
 
 
 def _constants(p, dtype):
