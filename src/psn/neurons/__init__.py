@@ -1,8 +1,7 @@
 from .kinds import KINDS, ORDER_KINDS, make
 from .parallel import (MaskedPSNParams, PSNParams, SlidingPSNParams,
-                       blend_mask, build_mask, lambda_schedule,
-                       masked_psn_forward, psn_forward, spsn_build_A,
-                       spsn_forward)
+                       build_mask, lambda_schedule, masked_psn_forward,
+                       psn_forward, spsn_build_A, spsn_forward)
 from .surrogate import heaviside_surrogate, smooth_step
 from .trace import SpikeTrace
 from .vanilla import VanillaNeuronParams, parallel_no_reset, vanilla_sequence
@@ -14,5 +13,5 @@ __all__ = [
     "VanillaNeuronParams", "vanilla_sequence", "parallel_no_reset",
     "PSNParams", "MaskedPSNParams", "SlidingPSNParams",
     "psn_forward", "masked_psn_forward", "spsn_forward",
-    "build_mask", "blend_mask", "lambda_schedule", "spsn_build_A",
+    "build_mask", "lambda_schedule", "spsn_build_A",
 ]

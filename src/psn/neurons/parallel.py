@@ -68,10 +68,10 @@ class PSNParams:
         return self.weight.data.shape[0]
 
     @classmethod
-    def create(cls, num_steps, rng, dtype=np.float32):
+    def create(cls, num_steps, rng):
         w = rng.uniform(-_INIT_BOUND, _INIT_BOUND,
-                        size=(num_steps, num_steps)).astype(dtype)
-        b = np.ones(num_steps, dtype=dtype)
+                        size=(num_steps, num_steps)).astype(np.float32)
+        b = np.ones(num_steps, dtype=np.float32)
         return cls(Tensor(w, requires_grad=True),
                    Tensor(b, requires_grad=True))
 
@@ -97,12 +97,17 @@ class MaskedPSNParams(PSNParams):
         self.set_lambda(lam)
 
     @classmethod
-    def create(cls, num_steps, order_k, rng, dtype=np.float32, lam=1.0):
-        base = PSNParams.create(num_steps, rng, dtype)
-        return cls(base.weight, base.threshold, order_k, lam)
+    def create(cls, num_steps, order_k, rng):
+        base = PSNParams.create(num_steps, rng)
+        return cls(base.weight, base.threshold, order_k)
 
     def set_lambda(self, lam):
-        self.blended = blend_mask(self.mask, lam)
+        """Blend the mask toward all-ones, lam * mask + (1 - lam), which is
+        exact at both endpoints."""
+        if not 0.0 <= lam <= 1.0:
+            raise ContractError(f"lambda must lie in [0, 1], got {lam}")
+        d = self.mask.data
+        self.blended = Tensor(d * d.dtype.type(lam) + d.dtype.type(1.0 - lam))
         self.lam = float(lam)
 
     def forward(self, x, *, relaxed=False):
@@ -131,13 +136,13 @@ class SlidingPSNParams:
         return self.kernel.data.shape[0]
 
     @classmethod
-    def create(cls, order_k, dtype=np.float32):
+    def create(cls, order_k):
         if order_k < 1:
             raise ContractError(f"sliding order must be >= 1, got {order_k}")
         i = np.arange(order_k, dtype=np.float64)
-        w = np.power(2.0, i - order_k + 1).astype(dtype)
+        w = np.power(2.0, i - order_k + 1).astype(np.float32)
         return cls(Tensor(w, requires_grad=True),
-                   Tensor(np.ones((), dtype=dtype), requires_grad=True))
+                   Tensor(np.ones((), dtype=np.float32), requires_grad=True))
 
     def parameters(self):
         return [self.kernel, self.threshold]
@@ -159,7 +164,7 @@ def _charge_fire(a, x, threshold, band, relaxed):
         return SpikeTrace(heaviside_surrogate(h, threshold, relaxed=relaxed),
                           h=h)
     ad, xd = a.data, x.data
-    thb = _broadcast_threshold(threshold, xd)[1]
+    thb = _broadcast_threshold(threshold, xd)
     # On a cache line, not on glibc's 16 bytes: at T=2, N=2^21 the walk ran
     # 4-6% faster with h and s aligned, whatever the alignment of x.
     h = _aligned(*xd.shape, np.result_type(ad, xd))
@@ -184,15 +189,6 @@ def build_mask(num_steps, order_k):
     m = np.tril(np.ones((num_steps, num_steps), dtype=np.float32))
     m -= np.tril(np.ones((num_steps, num_steps), dtype=np.float32), -order_k)
     return Tensor(m)
-
-
-def blend_mask(mask, lam):
-    """lam * mask + (1 - lam) * all-ones; exact at both endpoints."""
-    if not 0.0 <= lam <= 1.0:
-        raise ContractError(f"lambda must lie in [0, 1], got {lam}")
-    d = mask.data
-    blended = d * d.dtype.type(lam) + d.dtype.type(1.0 - lam)
-    return Tensor(blended)
 
 
 def masked_psn_forward(x, p, *, relaxed=False):

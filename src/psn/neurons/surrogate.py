@@ -11,10 +11,12 @@ sigma(0) = 2. ``smooth_step`` is the primitive of sigma; gradient checks
 finite-difference it instead of the discontinuous step, which is the only
 honest way to check a surrogate backward.
 
-Thresholds come in three shapes: a python scalar (fixed threshold), a
-learnable scalar tensor (sliding PSN), or a learnable per-time-step vector
-of length T against (T, N) charges (PSN / masked PSN). Learnable
-thresholds receive the negated, reduced surrogate gradient.
+A charge is an (N,) row (one step of the taped IF/LIF loop) or a (T, N)
+array (the PSN family); any other shape raises ``ShapeMismatchError``.
+A threshold is a python scalar (fixed), a () tensor (sliding PSN), or a
+(T,) tensor against a (T, N) charge, one value per step (PSN / masked
+PSN). A learnable threshold receives the negated surrogate gradient,
+summed over everything (a () tensor) or over each row (a (T,) tensor).
 """
 
 from __future__ import annotations
@@ -64,29 +66,31 @@ def _fire(h, threshold, relaxed, out=None):
     relaxed; ``threshold`` broadcasts against ``h``. Assigned into ``out``
     if given, which beat the buffered cast of ``np.greater_equal(h,
     threshold, out)`` on rows of 64 to 65536 float32 elements; else a new
-    array, cast after the comparison as ``astype`` did (README, PSN
-    inference). The relaxed spikes take the dtype of h - threshold.
+    array, cast after the comparison (README, PSN inference). The relaxed
+    spikes take the dtype of h - threshold.
     """
     s = (smooth_step(h - threshold) if relaxed
          else np.greater_equal(h, threshold))
     if out is not None:
         out[...] = s
         return out
-    # asarray: on a 0-d charge both forms give a numpy scalar.
-    return np.asarray(s) if relaxed else np.asarray(s, h.dtype)
+    return s if relaxed else s.astype(h.dtype)
 
 
 def _broadcast_threshold(threshold, hd):
-    """(mode, thb): ``threshold``'s values shaped to broadcast against the
-    charge ``hd``. Mode "const" is a python scalar, "scalar" a one-element
-    tensor and "row" a (T,) tensor, one value per leading row of ``hd``."""
+    """``threshold``'s values shaped to broadcast against the (N,) or (T, N)
+    charge ``hd``: a python scalar in hd's dtype, a () tensor's 0-d array,
+    or a (T,) tensor's values as a (T, 1) column against a (T, N) charge."""
+    if hd.ndim not in (1, 2):
+        raise ShapeMismatchError(
+            f"a charge must be (N,) or (T, N), got shape {hd.shape}")
     if not isinstance(threshold, Tensor):
-        return "const", hd.dtype.type(threshold)
+        return hd.dtype.type(threshold)
     thd = threshold.data
-    if thd.size == 1:
-        return "scalar", thd.reshape(())
-    if thd.ndim == 1 and hd.ndim >= 2 and thd.shape[0] == hd.shape[0]:
-        return "row", thd.reshape((thd.shape[0],) + (1,) * (hd.ndim - 1))
+    if thd.ndim == 0:
+        return thd
+    if hd.ndim == 2 and thd.shape == hd.shape[:1]:
+        return thd.reshape(-1, 1)
     raise ShapeMismatchError(
         f"threshold shape {thd.shape} does not broadcast against "
         f"charge shape {hd.shape}")
@@ -98,25 +102,23 @@ def heaviside_surrogate(h, threshold, *, relaxed=False):
     ``relaxed`` replaces the step with ``smooth_step`` so the whole forward
     becomes differentiable; verification uses it, training never does. The
     exact spikes take the charge's dtype, the relaxed ones that of
-    h - threshold; a 0-d charge gives 0-d spikes.
+    h - threshold.
     """
     hd = h.data
-    mode, thb = _broadcast_threshold(threshold, hd)
-    th = threshold if mode != "const" else None
+    thb = _broadcast_threshold(threshold, hd)
+    th = threshold if isinstance(threshold, Tensor) else None
     s_data = _fire(hd, thb, relaxed)
 
     def backward(gouts):
-        g = gouts[0]
-        # asarray: on a 0-d charge the difference is a numpy scalar, which
-        # _sigma_into could not write into.
-        dh = _sigma_times(np.asarray(hd - thb), g)
+        dh = _sigma_times(hd - thb, gouts[0])
         if th is None or not th.requires_grad:
             return (dh,) if th is None else (dh, None)
-        if mode == "scalar":
-            dth = np.asarray(-dh.sum(), dtype=th.data.dtype).reshape(
-                th.data.shape)
-        else:
-            dth = -dh.reshape(dh.shape[0], -1).sum(axis=1)
+        if th.data.ndim:
+            return dh, -dh.sum(axis=1)
+        # Added into a 0-d zero, which zero_grad can fill (a numpy scalar it
+        # cannot); so a zero sum gives +0.0.
+        dth = np.zeros((), th.data.dtype)
+        dth += -dh.sum()
         return dh, dth
 
     inputs = (h,) if th is None else (h, th)

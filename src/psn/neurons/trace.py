@@ -40,8 +40,6 @@ class SpikeTrace:
     @property
     def h(self):
         if self._h is None:
-            if self._h_rows is None:
-                raise AttributeError("trace carries no charge history")
             self._h = stack_rows(self._h_rows)
             self._h_rows = None
         return self._h

@@ -111,14 +111,14 @@ def vanilla_sequence(x, p, *, relaxed=False):
         return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
     rows = split_rows(x)
     v = Tensor._make(np.zeros(rows[0].data.shape, x.data.dtype), False)
-    inv = 1.0 / p.tau_m
+    decay, k, v_th = _constants(p, x.data.dtype.type)
     s_rows, h_rows = [], []
     for x_t in rows:
         if p.kind == "if":
             h = add(v, x_t)
         else:
-            h = add(scale(v, 1.0 - inv), scale(x_t, inv))
-        s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
+            h = add(scale(v, decay), scale(x_t, k))
+        s = heaviside_surrogate(h, v_th, relaxed=relaxed)
         v = apply_reset(h, s, p, relaxed)
         s_rows.append(s)
         h_rows.append(h)

@@ -3,9 +3,10 @@
 Two optimizers: classic SGD with momentum ``MOMENTUM``, and an Adam-style
 update with bias correction at ``BETAS`` and ``EPS``. Both keep their state
 in flat buffers over all parameters, which must share one dtype, and mutate
-parameter data in place, outside any tape. A parameter without a gradient
-is skipped: its state and data stay as they are. ``lr`` is a plain
-attribute so the training loop can drive it from the schedule each epoch.
+parameter data in place, outside any tape. An optimizer over no
+parameters, or a step while a parameter has no gradient, raises
+``ContractError``. ``lr`` is a plain attribute so the training loop can
+drive it from the schedule each epoch.
 """
 
 from __future__ import annotations
@@ -28,40 +29,36 @@ class _FlatParams:
 
     def __init__(self, params):
         self.params = list(params)
+        if not self.params:
+            raise ContractError("optimizer needs at least one parameter")
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) > 1:
             raise ContractError(
                 f"optimizer parameters must share one dtype, got "
                 f"{sorted(d.name for d in dtypes)}")
-        self.dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        self.sizes = [p.data.size for p in self.params]
+        self.dtype = dtypes.pop()
+        self.size = sum(p.data.size for p in self.params)
 
     def zeros(self):
-        return np.zeros(sum(self.sizes), dtype=self.dtype)
+        return np.zeros(self.size, dtype=self.dtype)
 
     def gather(self):
-        """(live, where, grads): the parameters that have a gradient, the
-        selector of their entries in a flat buffer (a slice when all are
-        live) and their gradients end to end. ``live`` may be empty."""
-        live = [p for p in self.params if p.grad is not None]
-        if len(live) == len(self.params):
-            where = slice(None)
-        else:
-            where = np.repeat([p.grad is not None for p in self.params],
-                              self.sizes)
-        if not live:
-            return live, where, None
-        return live, where, np.concatenate([p.grad.ravel() for p in live])
+        """Every parameter's gradient, end to end."""
+        missing = [i for i, p in enumerate(self.params) if p.grad is None]
+        if missing:
+            raise ContractError(
+                f"optimizer step without a gradient for parameters {missing}")
+        return np.concatenate([p.grad.ravel() for p in self.params])
 
-    def subtract(self, live, delta):
-        """Subtract each live parameter's slice of ``delta`` in place.
+    def subtract(self, delta):
+        """Subtract each parameter's slice of ``delta`` in place.
 
         ``delta`` is rounded to the parameters' dtype first: a numpy float64
         learning rate (the cosine schedule's) makes it float64.
         """
         delta = np.asarray(delta, dtype=self.dtype)
         pos = 0
-        for p in live:
+        for p in self.params:
             d = p.data
             d -= delta[pos:pos + d.size].reshape(d.shape)
             pos += d.size
@@ -81,15 +78,11 @@ class SGDMomentum:
             p.zero_grad()
 
     def step(self):
-        live, where, g = self._flat.gather()
-        if not live:
-            return
-        v = self._velocity[where]
+        g = self._flat.gather()
+        v = self._velocity
         v *= MOMENTUM
         v += g
-        if not isinstance(where, slice):
-            self._velocity[where] = v
-        self._flat.subtract(live, self.lr * v)
+        self._flat.subtract(self.lr * v)
 
 
 class AdamLike:
@@ -108,24 +101,18 @@ class AdamLike:
             p.zero_grad()
 
     def step(self):
+        g = self._flat.gather()
         self._t += 1
-        live, where, g = self._flat.gather()
-        if not live:
-            return
         b1, b2 = BETAS
         c1 = 1.0 - b1 ** self._t
         c2 = 1.0 - b2 ** self._t
-        m = self._m[where]
-        v = self._v[where]
+        m, v = self._m, self._v
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        if not isinstance(where, slice):
-            self._m[where] = m
-            self._v[where] = v
         update = (m / c1) / (np.sqrt(v / c2) + EPS)
-        self._flat.subtract(live, self.lr * update)
+        self._flat.subtract(self.lr * update)
 
 
 def cosine_lr(base_lr, epoch, epochs):

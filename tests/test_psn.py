@@ -5,10 +5,9 @@ import pytest
 
 from psn.errors import ContractError, ShapeMismatchError
 from psn.neurons import (MaskedPSNParams, PSNParams, SlidingPSNParams,
-                        VanillaNeuronParams, blend_mask, build_mask,
-                        lambda_schedule, masked_psn_forward,
-                        parallel_no_reset, psn_forward, spsn_build_A,
-                        spsn_forward)
+                        VanillaNeuronParams, build_mask, lambda_schedule,
+                        masked_psn_forward, parallel_no_reset, psn_forward,
+                        spsn_build_A, spsn_forward)
 from psn import tensor, verify
 from psn.data import SequenceBatch
 from psn.neurons import parallel
@@ -20,6 +19,20 @@ from psn.training import Model, ModelSpec, evaluate
 def _psn(weight, threshold):
     return PSNParams(Tensor(np.asarray(weight, dtype=np.float64)),
                      Tensor(np.asarray(threshold, dtype=np.float64)))
+
+
+def _dense(T, rng, dtype=np.float64):
+    """(weight, threshold) as ``PSNParams.create`` draws them, in ``dtype``."""
+    w = rng.uniform(-np.sqrt(5.0), np.sqrt(5.0), size=(T, T)).astype(dtype)
+    return (Tensor(w, requires_grad=True),
+            Tensor(np.ones(T, dtype), requires_grad=True))
+
+
+def _sliding(k, dtype=np.float64):
+    """``SlidingPSNParams.create(k)``'s parameters in ``dtype``."""
+    kernel = np.power(2.0, np.arange(k) - k + 1.0).astype(dtype)
+    return SlidingPSNParams(Tensor(kernel, requires_grad=True),
+                            Tensor(np.ones((), dtype), requires_grad=True))
 
 
 # ------------------------------------------------------------------ dense
@@ -93,6 +106,7 @@ def test_create_initializes_unit_thresholds():
     p = PSNParams.create(8, np.random.default_rng(42))
     np.testing.assert_array_equal(p.threshold.data, np.ones(8))
     assert p.weight.data.shape == (8, 8)
+    assert p.weight.data.dtype == p.threshold.data.dtype == np.float32
     assert p.weight.requires_grad and p.threshold.requires_grad
 
 
@@ -121,24 +135,28 @@ def test_build_mask_order_bounds():
 
 
 def test_blend_mask_endpoints_and_midpoint():
-    m = build_mask(3, 1)
-    np.testing.assert_array_equal(blend_mask(m, 0.0).data, np.ones((3, 3)))
-    np.testing.assert_array_equal(blend_mask(m, 1.0).data, m.data)
-    mid = blend_mask(m, 0.5).data
-    assert mid[1, 0] == 0.5 and mid[1, 1] == 1.0
+    p = MaskedPSNParams(*_dense(3, np.random.default_rng(42)), 1)
+    p.set_lambda(0.0)
+    np.testing.assert_array_equal(p.blended.data, np.ones((3, 3)))
+    p.set_lambda(1.0)
+    np.testing.assert_array_equal(p.blended.data, p.mask.data)
+    p.set_lambda(0.5)
+    mid = p.blended.data
+    assert mid[1, 0] == 0.5 and mid[1, 1] == 1.0 and p.lam == 0.5
 
 
 def test_blend_mask_range_check():
-    m = build_mask(2, 1)
+    p = MaskedPSNParams(*_dense(2, np.random.default_rng(42)), 1, lam=0.5)
     for lam in (-0.1, 1.1):
         with pytest.raises(ContractError):
-            blend_mask(m, lam)
+            p.set_lambda(lam)
+    assert p.lam == 0.5
 
 
 def test_masked_at_lambda_zero_is_dense_psn():
     rng = np.random.default_rng(43)
     T = 6
-    p = MaskedPSNParams.create(T, 2, rng, dtype=np.float64, lam=0.0)
+    p = MaskedPSNParams(*_dense(T, rng), 2, lam=0.0)
     x = Tensor(rng.standard_normal((T, 4)))
     masked = masked_psn_forward(x, p)
     dense = psn_forward(x, PSNParams(p.weight, p.threshold))
@@ -149,7 +167,7 @@ def test_masked_at_lambda_zero_is_dense_psn():
 def test_masked_full_width_band_is_causal_dense():
     rng = np.random.default_rng(44)
     T = 5
-    p = MaskedPSNParams.create(T, T, rng, dtype=np.float64, lam=1.0)
+    p = MaskedPSNParams(*_dense(T, rng), T)
     x = Tensor(rng.standard_normal((T, 3)))
     masked = masked_psn_forward(x, p)
     tril = PSNParams(Tensor(np.tril(p.weight.data)), p.threshold)
@@ -161,7 +179,7 @@ def test_masked_lambda_one_is_causal():
     # Fully masked: perturbing a future input cannot move the charge.
     rng = np.random.default_rng(45)
     T, k = 6, 2
-    p = MaskedPSNParams.create(T, k, rng, dtype=np.float64, lam=1.0)
+    p = MaskedPSNParams(*_dense(T, rng), k)
     x0 = rng.standard_normal((T, 2))
     x1 = x0.copy()
     x1[4] += 10.0
@@ -173,7 +191,7 @@ def test_masked_lambda_one_is_causal():
 def test_mask_gradient_never_reaches_masked_entries():
     rng = np.random.default_rng(46)
     T, k = 5, 2
-    p = MaskedPSNParams.create(T, k, rng, dtype=np.float64, lam=1.0)
+    p = MaskedPSNParams(*_dense(T, rng), k)
     x = Tensor(rng.standard_normal((T, 3)))
     with Tape() as tape:
         trace = masked_psn_forward(x, p)
@@ -247,7 +265,7 @@ def test_spsn_matrix_kernel_longer_than_sequence():
 
 def test_default_kernel_impulse_response_halves():
     k = 4
-    p = SlidingPSNParams.create(k, dtype=np.float64)
+    p = _sliding(k)
     x = np.zeros((7, 1))
     x[0] = 1.0
     h = spsn_forward(Tensor(x), p).h.data[:, 0]
@@ -258,7 +276,7 @@ def test_default_kernel_impulse_response_halves():
 def test_spsn_conv_and_matmul_paths_agree():
     rng = np.random.default_rng(48)
     for k in (1, 2, 5, 8):
-        p = SlidingPSNParams.create(k, dtype=np.float64)
+        p = _sliding(k)
         x = rng.standard_normal((32, 4))
         h = spsn_forward(Tensor(x), p).h.data
         np.testing.assert_allclose(
@@ -268,7 +286,7 @@ def test_spsn_conv_and_matmul_paths_agree():
 def test_spsn_is_time_invariant_inside_the_band():
     rng = np.random.default_rng(49)
     k, T = 3, 12
-    p = SlidingPSNParams.create(k, dtype=np.float64)
+    p = _sliding(k)
     x = rng.standard_normal((T, 2))
     shifted = np.vstack([np.zeros((1, 2)), x[:-1]])
     h = spsn_forward(Tensor(x), p).h.data
@@ -278,7 +296,7 @@ def test_spsn_is_time_invariant_inside_the_band():
 
 def test_spsn_kernel_gradient_sums_diagonals():
     rng = np.random.default_rng(50)
-    p = SlidingPSNParams.create(3, dtype=np.float64)
+    p = _sliding(3)
     p.kernel.data[:] = rng.standard_normal(3)
     proj = rng.standard_normal((6, 6))
     with Tape() as tape:
@@ -377,10 +395,9 @@ def test_all_family_spikes_are_binary():
     rng = np.random.default_rng(51)
     x = Tensor(rng.standard_normal((8, 5)))
     traces = [
-        psn_forward(x, PSNParams.create(8, rng, dtype=np.float64)),
-        masked_psn_forward(x, MaskedPSNParams.create(8, 3, rng,
-                                                     dtype=np.float64)),
-        spsn_forward(x, SlidingPSNParams.create(3, dtype=np.float64)),
+        psn_forward(x, PSNParams(*_dense(8, rng))),
+        masked_psn_forward(x, MaskedPSNParams(*_dense(8, rng), 3)),
+        spsn_forward(x, _sliding(3)),
     ]
     for trace in traces:
         assert set(np.unique(trace.s.data)) <= {0.0, 1.0}
@@ -392,11 +409,11 @@ def test_all_family_spikes_are_binary():
 def _family(kind, T, dtype):
     rng = np.random.default_rng([54, T])
     if kind == "psn":
-        return PSNParams.create(T, rng, dtype=dtype)
+        return PSNParams(*_dense(T, rng, dtype))
     if kind == "spsn":
-        return SlidingPSNParams.create(min(3, T), dtype=dtype)
+        return _sliding(min(3, T), dtype)
     lam = float(kind.rpartition("-")[2])
-    return MaskedPSNParams.create(T, min(3, T), rng, dtype=dtype, lam=lam)
+    return MaskedPSNParams(*_dense(T, rng, dtype), min(3, T), lam=lam)
 
 
 def _family_input(T, N, dtype):

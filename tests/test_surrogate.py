@@ -1,5 +1,7 @@
 """Firing op: exact step forward, arctan-shaped gradient."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from psn.tensor import Tape, Tensor, mul, sum_all, taped_op
 
 
 def _sigma(x):
-    """sigma(x), read off the taped backward of the firing op at threshold 0."""
-    h = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
+    """sigma of the 1-D ``x``, read off the taped backward of the firing op
+    at threshold 0."""
+    h = Tensor(np.array(x, dtype=np.float64, ndmin=1), requires_grad=True)
     with Tape() as tape:
         tape.backward(sum_all(heaviside_surrogate(h, 0.0)))
     return h.grad
@@ -36,7 +39,7 @@ def test_outputs_are_binary():
 
 def test_sigma_peak_is_alpha_over_two():
     # alpha is fixed at 4.
-    assert _sigma(0.0) == pytest.approx(2.0)
+    assert _sigma([0.0]) == pytest.approx([2.0])
 
 
 def test_sigma_is_even_and_decaying():
@@ -174,10 +177,31 @@ def test_per_row_threshold_gradient_reduces_by_row():
     np.testing.assert_allclose(th.grad, -h.grad.sum(axis=1), rtol=1e-12)
 
 
+def test_one_step_threshold_takes_the_row_rule():
+    # A (1, N) charge's (1,) threshold is a row of one step, not a scalar.
+    rng = np.random.default_rng(24)
+    h = Tensor(rng.standard_normal((1, 1000)), requires_grad=True)
+    th = Tensor(np.full(1, 0.2), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(heaviside_surrogate(h, th)))
+    assert th.grad.shape == (1,)
+    assert th.grad.tobytes() == (-h.grad.sum()).tobytes()
+
+
 def test_bad_threshold_shape_rejected():
-    h = Tensor(np.zeros((3, 4)))
-    with pytest.raises(ShapeMismatchError):
-        heaviside_surrogate(h, Tensor(np.zeros(7)))
+    # A (T,) threshold needs a (T, N) charge; a size-1 threshold of another
+    # shape is not a scalar.
+    for h, th in (((3, 4), (7,)), ((4,), (1,)), ((3,), (3,)),
+                  ((1, 4), (1, 1)), ((3, 4), (3, 1))):
+        with pytest.raises(ShapeMismatchError, match=r"threshold shape"):
+            heaviside_surrogate(Tensor(np.zeros(h)), Tensor(np.zeros(th)))
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+def test_charge_that_is_not_a_row_or_t_by_n_is_rejected(shape):
+    for th in (0.0, Tensor(np.zeros(()))):
+        with pytest.raises(ShapeMismatchError, match=re.escape(str(shape))):
+            heaviside_surrogate(Tensor(np.zeros(shape)), th)
 
 
 def test_huge_inputs_stay_finite():
@@ -187,16 +211,3 @@ def test_huge_inputs_stay_finite():
         tape.backward(sum_all(s))
     np.testing.assert_array_equal(s.data, [1.0, 0.0])
     assert np.all(np.isfinite(h.grad))
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_zero_d_charge_backward(dtype):
-    h = Tensor(dtype(0.5), requires_grad=True, dtype=dtype)
-    with Tape() as tape:
-        s = heaviside_surrogate(h, 1.0)
-        tape.backward(sum_all(s))
-    assert isinstance(s.data, np.ndarray) and s.data.shape == ()
-    assert s.data.dtype == dtype and s.data == 0.0
-    assert h.grad.shape == () and h.grad.dtype == dtype
-    # sigma(-0.5) at alpha 4: 2 / (1 + (pi/2 * 4 * 0.5)^2).
-    assert h.grad == pytest.approx(2.0 / (1.0 + np.pi ** 2), rel=1e-6)

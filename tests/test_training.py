@@ -142,14 +142,19 @@ def test_zero_lr_leaves_parameters_bit_identical():
         assert p.data.tobytes() == before
 
 
-def test_optimizers_skip_gradless_params():
-    p = Tensor(np.ones(2), requires_grad=True)
-    q = Tensor(np.ones(2), requires_grad=True)
-    opt = SGDMomentum([p, q], lr=0.5)
-    p.grad = np.ones(2)
-    opt.step()
-    np.testing.assert_allclose(p.data, [0.5, 0.5])
-    np.testing.assert_array_equal(q.data, [1.0, 1.0])
+def test_optimizers_refuse_gradless_params_and_no_params():
+    for opt_cls in (SGDMomentum, AdamLike):
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(2), requires_grad=True)
+        opt = opt_cls([p, q], lr=0.5)
+        p.grad = np.ones(2)
+        with pytest.raises(ContractError,
+                           match=r"gradient for parameters \[1\]"):
+            opt.step()
+        for t in (p, q):
+            np.testing.assert_array_equal(t.data, [1.0, 1.0])
+        with pytest.raises(ContractError, match="at least one parameter"):
+            opt_cls([], lr=0.5)
 
 
 def test_optimizer_validation():
@@ -162,8 +167,6 @@ def test_optimizer_validation():
 def _sgd_reference(params, grads, velocity, lr, momentum=0.9):
     """One SGD-with-momentum step, parameter by parameter."""
     for p, g, v in zip(params, grads, velocity):
-        if g is None:
-            continue
         v *= momentum
         v += g
         p -= np.asarray(lr * v, dtype=p.dtype)
@@ -175,8 +178,6 @@ def _adam_reference(params, grads, m_state, v_state, t, lr, b1=0.9,
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for p, g, m, v in zip(params, grads, m_state, v_state):
-        if g is None:
-            continue
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -190,7 +191,6 @@ def _adam_reference(params, grads, m_state, v_state, t, lr, b1=0.9,
 def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype):
     rng = np.random.default_rng([31, 0])
     shapes = [(5, 3), (), (7,), (2, 2, 3), (4,)]
-    gradless = 3  # never gets a gradient; the 0-d one skips step 2 only
     init = [rng.standard_normal(s).astype(dtype) for s in shapes]
     params = [Tensor(a.copy(), requires_grad=True) for a in init]
     if kind == "sgd":
@@ -203,11 +203,10 @@ def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype):
     for t in range(1, 5):
         # train() sets a numpy float64 rate from the cosine schedule.
         lr = opt.lr = np.float64(opt.lr) if t % 2 else float(opt.lr)
-        grads = [None if i == gradless or (i, t) == (1, 2) else
-                 (rng.standard_normal(s) * 10.0 ** (i - 2)).astype(dtype)
+        grads = [(rng.standard_normal(s) * 10.0 ** (i - 2)).astype(dtype)
                  for i, s in enumerate(shapes)]
         for p, g in zip(params, grads):
-            p.grad = None if g is None else g.copy()
+            p.grad = g.copy()
         opt.step()
         if kind == "sgd":
             _sgd_reference(ref, grads, state[0], lr)
@@ -216,7 +215,6 @@ def test_flat_optimizers_match_a_per_parameter_loop(kind, dtype):
         for p, r in zip(params, ref):
             assert p.data.dtype == dtype and p.data.shape == r.shape
             assert p.data.tobytes() == r.tobytes()
-    assert params[gradless].data.tobytes() == init[gradless].tobytes()
 
 
 def test_optimizers_refuse_mixed_dtypes():
