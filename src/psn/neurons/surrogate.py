@@ -21,6 +21,8 @@ summed over everything (a () tensor) or over each row (a (T,) tensor).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ShapeMismatchError
@@ -41,15 +43,21 @@ def _sigma_into(x, scale=1.0):
     gradient is one broadcast scalar. At 1.0 the result is sigma(x) exactly.
     """
     dtype = x.dtype.type
-    c = dtype(0.5 * np.pi * ALPHA)
+    c, one, half_alpha = _sigma_constants(dtype)
     # Squaring huge inputs overflows to inf; sigma then rounds to 0, which
     # is the correct limit, so the overflow is not an error here.
     with np.errstate(over="ignore"):
         np.multiply(x, c, out=x)
         np.multiply(x, x, out=x)
-        x += dtype(1.0)
-        np.divide(dtype(0.5 * ALPHA) * dtype(scale), x, out=x)
+        x += one
+        np.divide(half_alpha * dtype(scale), x, out=x)
     return x
+
+
+@functools.cache
+def _sigma_constants(dtype):
+    """pi/2 * alpha, 1 and alpha/2 in the float type ``dtype``."""
+    return dtype(0.5 * np.pi * ALPHA), dtype(1.0), dtype(0.5 * ALPHA)
 
 
 def _sigma_times(x, g):

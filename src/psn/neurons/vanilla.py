@@ -7,8 +7,9 @@ reset (hard: jump to v_reset; none: V = H), from a potential of 0, with
 tau_m 2, v_th 1 and v_reset +0.0 fixed. Both reset modes run one array
 loop over one (T, N) block walk, of about ``psn.tensor._COLS`` elements a
 block, the column block of short products. ``vanilla_sequence`` runs the
-hard reset: a call that a tape records takes a taped op per stage and
-step, and any other call the array loop, with the same bits.
+hard reset: a call that a tape records takes one taped op per stage and
+step (one charge, one fire, one reset), and any other call the array
+loop, with the same bits.
 ``parallel_no_reset`` runs the reset-free mode, a fixed linear recurrence,
 as one taped op around the array loop, whose backward walks the blocks in
 reverse. The hard reset makes the recurrence nonlinear in the spikes, so
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
-from ..tensor import (_COLS, Tensor, active_tape, add, scale, split_rows,
-                      stack_rows, taped_op)
+from ..tensor import (_COLS, Tensor, active_tape, split_rows, stack_rows,
+                      taped_op)
 from .surrogate import _fire, _sigma_times, heaviside_surrogate
 from .trace import SpikeTrace, _check_input
 
@@ -99,9 +100,10 @@ def _select_reset(hd, sd, out=None):
 
 def vanilla_sequence(x, p, *, relaxed=False):
     """Run the hard-reset loop over the T rows of the (T, N) input ``x``. A
-    call that records (x requires grad, a tape is active) tapes per step a
-    charge (IF: an add; LIF: two scales and an add), a fire and a reset; any
-    other call runs ``_array_loop``."""
+    call that records (x requires grad, a tape is active) tapes one charge
+    (``_charge``), one fire and one reset per step between a split and a
+    stack, 3T + 2 ops for IF and LIF alike; any other call runs
+    ``_array_loop``."""
     _check_input(x, "vanilla_sequence")
     if p.reset_mode != "hard":
         raise ContractError("vanilla_sequence runs the hard reset only; the "
@@ -114,15 +116,31 @@ def vanilla_sequence(x, p, *, relaxed=False):
     decay, k, v_th = _constants(p, x.data.dtype.type)
     s_rows, h_rows = [], []
     for x_t in rows:
-        if p.kind == "if":
-            h = add(v, x_t)
-        else:
-            h = add(scale(v, decay), scale(x_t, k))
+        h = _charge(v, x_t, decay, k)
         s = heaviside_surrogate(h, v_th, relaxed=relaxed)
         v = apply_reset(h, s, p, relaxed)
         s_rows.append(s)
         h_rows.append(h)
     return SpikeTrace(stack_rows(s_rows), h_rows=h_rows)
+
+
+def _charge(v, x_t, decay, k):
+    """h = decay * v + k * x_t as one taped op, with the operands and order,
+    so the bits, of ``add(scale(v, decay), scale(x_t, k))``; for IF (k = 1)
+    those of ``add(v, x_t)``, with add's gradients (g, g)."""
+    if k == 1:
+        out = v.data + x_t.data
+    else:
+        out = v.data * decay
+        out += x_t.data * k
+
+    def backward(gouts):
+        g = gouts[0]
+        if k == 1:
+            return g, g
+        return g * decay if v.requires_grad else None, g * k
+
+    return taped_op((v, x_t), out, backward)
 
 
 def _blocks(T, N):

@@ -146,10 +146,13 @@ class Tensor:
 
         ``owned`` says nothing else holds the array, so a fresh leaf of the
         same shape and dtype takes it as ``.grad`` instead of zeros plus it.
+        Only an ndarray is taken: a numpy scalar, as a 0-d op can hand
+        back, has no buffer that ``zero_grad`` could fill.
         """
         if self.grad is None:
             data = self.data
-            if (owned and contribution.shape == data.shape
+            if (owned and isinstance(contribution, np.ndarray)
+                    and contribution.shape == data.shape
                     and contribution.dtype == data.dtype):
                 _track_buffer(self, contribution)
                 self.grad = contribution
@@ -357,8 +360,9 @@ _PAD_MIN_BYTES = 4 << 20
 # row padding.
 _PAD = 64
 
-# id -> each view _aligned handed out, while it lives.
-_aligned_views = weakref.WeakValueDictionary()
+# id -> a weak reference to each live view _aligned handed out, whose
+# callback drops the entry; about half a WeakValueDictionary's cost.
+_aligned_views = {}
 
 
 def _aligned(m, n, dtype, pad=0):
@@ -369,9 +373,11 @@ def _aligned(m, n, dtype, pad=0):
     itemsize = np.dtype(dtype).itemsize
     stride = n * itemsize + pad
     raw = np.empty(m * stride + max(_PAD - pad, 0), np.uint8)
-    view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
-                      (stride, itemsize))
-    _aligned_views[id(view)] = view
+    address = raw.__array_interface__["data"][0]
+    view = np.ndarray((m, n), dtype, raw, -address % _PAD, (stride, itemsize))
+    key = id(view)
+    _aligned_views[key] = weakref.ref(
+        view, lambda _, key=key, views=_aligned_views: views.pop(key, None))
     return view
 
 
@@ -393,7 +399,8 @@ def _padded(m, n, dtype):
 
 def _owns_base(arr):
     """Whether ``arr`` is a view _aligned handed out (not a view of one)."""
-    return _aligned_views.get(id(arr)) is arr
+    ref = _aligned_views.get(id(arr))
+    return ref is not None and ref() is arr
 
 
 def _buffer_bytes(arr):
@@ -715,8 +722,7 @@ def stack_rows(rows):
     out = np.stack([r.data for r in rows])
 
     def backward(gouts):
-        g = gouts[0]
-        return tuple(g[t] if r.requires_grad else None
-                     for t, r in enumerate(rows))
+        # One row view per input; Tape.backward skips those that need none.
+        return tuple(gouts[0])
 
     return taped_op(tuple(rows), out, backward)

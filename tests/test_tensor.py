@@ -705,6 +705,23 @@ def test_zero_grad_clears_in_place():
     np.testing.assert_array_equal(x.grad, np.zeros(2))
 
 
+def test_zero_grad_resets_a_zero_d_leaf():
+    # A 0-d op's backward can hand back a numpy scalar; a fresh leaf must
+    # not take it as .grad, as zero_grad can fill only an ndarray.
+    a = Tensor(np.asarray(1.5), requires_grad=True)
+    b = Tensor(np.asarray(-2.0), requires_grad=True)
+    for loss, leaves in ((lambda: scale(a, 2.0), (a,)),
+                         (lambda: mul(a, b), (a, b))):
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            tape.backward(loss())
+        for t in leaves:
+            t.zero_grad()
+            assert type(t.grad) is np.ndarray and t.grad.shape == ()
+            assert t.grad == 0
+
+
 def test_ops_outside_tape_are_pure_forward():
     x = Tensor(np.ones(2), requires_grad=True)
     y = add(x, x)  # no active tape

@@ -12,8 +12,8 @@ from psn.neurons import (SpikeTrace, VanillaNeuronParams,
                          heaviside_surrogate, parallel_no_reset, vanilla,
                          vanilla_sequence)
 from psn.neurons.vanilla import apply_reset
-from psn.tensor import (Tape, Tensor, add, no_tape, scale, split_rows,
-                        stack_rows)
+from psn.tensor import (Tape, Tensor, add, mul, no_tape, scale, split_rows,
+                        stack_rows, sum_all)
 from psn.verify import _serial_charge
 
 
@@ -166,9 +166,8 @@ def test_relaxed_hard_reset_interpolates_fractional_spikes():
 def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode,
                                                         monkeypatch):
     # Hard: a call records when x requires grad and a tape is active:
-    # split_rows and stack_rows, then charge (IF: add; LIF: two scale and an
-    # add), fire and reset per step. The first LIF step records no scale of
-    # the zero initial potential, which needs no grad. Any other call,
+    # split_rows and stack_rows, then one charge op, one fire and one reset
+    # per step, for IF and LIF alike. Any other call,
     # evaluate()'s requires-grad input under no_tape() included, runs the
     # array loop. Reset-free: every call runs the array loop, and a
     # recording one records it as one op.
@@ -181,7 +180,7 @@ def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode,
     with Tape() as tape:
         p.forward(x)
     if reset_mode == "hard":
-        assert len(tape) == {"if": 3 * T + 2, "lif": 5 * T + 1}[kind]
+        assert len(tape) == 3 * T + 2
         assert not calls
     else:
         assert len(tape) == 1 and len(calls) == 1
@@ -237,6 +236,65 @@ def _taped_no_reset(x, p, relaxed=False):
         s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
     assert len(tape)
     return SpikeTrace(s, h=h)
+
+
+def _reference_hard_loop(x, p, relaxed):
+    """(s, h) of the hard-reset loop taped from the public ops: per step a
+    charge of add (IF) or of two scales and an add (LIF), then the fire
+    and reset ops. ``vanilla_sequence``'s one charge op must match it."""
+    rows = split_rows(x)
+    v = Tensor(np.zeros(rows[0].data.shape, x.data.dtype),
+               dtype=x.data.dtype)
+    decay, k = 1 - 1 / p.tau_m, 1 / p.tau_m
+    s_rows, h_rows = [], []
+    for x_t in rows:
+        h = (add(v, x_t) if p.kind == "if"
+             else add(scale(v, decay), scale(x_t, k)))
+        s = heaviside_surrogate(h, p.v_th, relaxed=relaxed)
+        v = apply_reset(h, s, p, relaxed)
+        s_rows.append(s)
+        h_rows.append(h)
+    return stack_rows(s_rows), stack_rows(h_rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("loss", ["sum_all", "random"])
+@pytest.mark.parametrize("T", [1, 2, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("kind", ["if", "lif"])
+def test_taped_loop_is_the_reference_loop_bit_for_bit(kind, relaxed, dtype,
+                                                      T, loss):
+    # The one charge op per step against the public ops it replaces: h, s
+    # and x.grad byte for byte. The random loss weights s and h by seeded
+    # upstream gradients, so the reset's and the charge's backward both
+    # carry values other than ones.
+    x0 = _serial_input((T, 7), dtype)
+    p = VanillaNeuronParams(kind=kind, reset_mode="hard")
+    rng = np.random.default_rng([43, T])
+    weights = [Tensor(rng.standard_normal(x0.shape), dtype=dtype)
+               for _ in range(2)]
+
+    def one_op_charge(x):
+        trace = vanilla_sequence(x, p, relaxed=relaxed)
+        return trace.s, trace.h
+
+    got = []
+    for run in (one_op_charge, lambda x: _reference_hard_loop(x, p, relaxed)):
+        x = Tensor(x0, requires_grad=True, dtype=dtype)
+        with Tape() as tape:
+            s, h = run(x)
+            if loss == "sum_all":
+                total = sum_all(s)
+            else:
+                total = add(sum_all(mul(s, weights[0])),
+                            sum_all(mul(h, weights[1])))
+        tape.backward(total)
+        got.append([h.data, s.data, x.grad])
+    for a, b in zip(*got):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(f"u{a.itemsize}"),
+                                      b.view(f"u{b.itemsize}"))
 
 
 # With 8-element blocks, which split columns and rows: one row; N below, at
