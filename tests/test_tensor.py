@@ -5,6 +5,9 @@ structural assertions (shape rules, accumulation) use exact hand
 cases.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -804,6 +807,37 @@ def test_small_outputs_are_not_padded():
         out = matmul(Tensor(np.ones((T, T), dtype=np.float32)),
                      Tensor(np.ones((T, N), dtype=np.float32)))
         assert out.data.flags.c_contiguous, (T, N)
+
+
+def test_aligned_registry_drops_each_view_with_the_view():
+    """_owns_base knows every live view _aligned handed out and no view of
+    one, and a view's entry goes when the view does, in whichever thread
+    drops it, so the registry does not grow."""
+    before = len(tensor._aligned_views)
+    errors = []
+
+    def churn():
+        try:
+            for _ in range(2000):
+                view = tensor._aligned(2, 8, np.float32)
+                if not tensor._owns_base(view) or tensor._owns_base(view[:1]):
+                    errors.append("ownership")
+        except Exception as e:  # reported by the assert below
+            errors.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(tensor._aligned_views) <= before
 
 
 def _padded_copy(arr):
