@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..tensor import Tensor, _aligned, _blocks, taped_op
+from ..tensor import Tensor, taped_op
 
 ALPHA = 4.0
 
@@ -85,21 +85,6 @@ def _fire(h, threshold, relaxed, out=None):
     return s if relaxed else s.astype(h.dtype)
 
 
-def _charge_blocks(hd, thb):
-    """(rows, columns, the rows' threshold) for each ``_blocks`` block of a
-    (T, N) charge of more than one block, else None.
-
-    The taped fire and the surrogate gradient walk such a charge block by
-    block into an ``_aligned`` array, so each block's passes (compare and
-    assign; subtract and sigma's four) run while it is in L2; whole, at
-    T=64, N=65536, each pass went out to memory. Every element gets the
-    same operations either way, so the bits are the same."""
-    if hd.ndim != 2 or len(blocks := _blocks(*hd.shape)) == 1:
-        return None
-    per_row = np.ndim(thb) == 2
-    return [(r, c, thb[r] if per_row else thb) for r, c in blocks]
-
-
 def _broadcast_threshold(threshold, hd):
     """``threshold``'s values shaped to broadcast against the (N,) or (T, N)
     charge ``hd``: a python scalar in hd's dtype, a () tensor's 0-d array,
@@ -130,22 +115,10 @@ def heaviside_surrogate(h, threshold, *, relaxed=False):
     hd = h.data
     thb = _broadcast_threshold(threshold, hd)
     th = threshold if isinstance(threshold, Tensor) else None
-    blocks = _charge_blocks(hd, thb)
-    if relaxed or blocks is None:
-        s_data = _fire(hd, thb, relaxed)
-    else:
-        s_data = _aligned(*hd.shape, hd.dtype)
-        for r, c, t in blocks:
-            _fire(hd[r, c], t, False, s_data[r, c])
+    s_data = _fire(hd, thb, relaxed)
 
     def backward(gouts):
-        g = gouts[0]
-        if blocks is None:
-            dh = _sigma_times(hd - thb, g)
-        else:
-            dh = _aligned(*hd.shape, np.result_type(hd, thb))
-            for r, c, t in blocks:
-                _sigma_times(np.subtract(hd[r, c], t, out=dh[r, c]), g[r, c])
+        dh = _sigma_times(hd - thb, gouts[0])
         if th is None or not th.requires_grad:
             return (dh,) if th is None else (dh, None)
         if th.data.ndim:

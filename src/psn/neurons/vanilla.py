@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
-from ..tensor import (Tensor, _blocks, active_tape, split_rows, stack_rows,
+from ..tensor import (_COLS, Tensor, active_tape, split_rows, stack_rows,
                       taped_op)
 from .surrogate import _fire, _sigma_times, heaviside_surrogate
 from .trace import SpikeTrace, _check_input
@@ -141,6 +141,20 @@ def _charge(v, x_t, decay, k):
         return g * decay if v.requires_grad else None, g * k
 
     return taped_op((v, x_t), out, backward)
+
+
+def _blocks(T, N):
+    """(rows, columns) slices over a (T, N) array: column blocks of at most
+    ``psn.tensor._COLS`` columns, each cut in order into rows enough for
+    about ``_COLS`` elements, so a block is charged, fired and carried (or
+    differentiated) while it is in L2. An array of at most two blocks is one
+    block; blocked, T=16, N=8192 ran slower."""
+    if T * N <= 2 * _COLS:
+        return [(slice(0, T), slice(0, N))]
+    cols = min(N, _COLS)
+    step = _COLS // cols
+    return [(slice(a, min(a + step, T)), slice(c, min(c + cols, N)))
+            for c in range(0, N, cols) for a in range(0, T, step)]
 
 
 def _constants(p, dtype):

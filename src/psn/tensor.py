@@ -360,38 +360,21 @@ _PAD_MIN_BYTES = 4 << 20
 # row padding.
 _PAD = 64
 
-# From _HUGE_MIN_BYTES, where numpy asks Linux for transparent huge pages,
-# an _aligned view starts on a _HUGE_PAGE, so whole huge pages back it.
-# Under glibc's default thresholds freed 16 MiB buffers go back to the OS:
-# four fresh ones, written once, took 36 page faults and 8-10 ms so
-# aligned, against 2045 faults and 16 ms at 64 bytes.
-_HUGE_MIN_BYTES = 4 << 20
-_HUGE_PAGE = 2 << 20
-
 # id -> a weak reference to each live view _aligned handed out, whose
 # callback drops the entry; about half a WeakValueDictionary's cost.
 _aligned_views = {}
 
 
 def _aligned(m, n, dtype, pad=0):
-    """An uninitialised (m, n) view that starts on a 64-byte boundary, or
-    from _HUGE_MIN_BYTES on a huge page, with rows a row plus ``pad``
-    bytes apart. The view owns its base buffer: ``_track_buffer`` counts
-    that buffer, and ``Tape.backward`` may keep the view as a gradient."""
+    """An uninitialised (m, n) view that starts on a 64-byte boundary, with
+    rows a row plus ``pad`` bytes apart. The view owns its base buffer:
+    ``_track_buffer`` counts that buffer, and ``Tape.backward`` may keep
+    the view as a gradient."""
     itemsize = np.dtype(dtype).itemsize
     stride = n * itemsize + pad
-    nbytes = m * stride + max(_PAD - pad, 0)
-    if m * stride < _HUGE_MIN_BYTES:
-        raw = np.empty(nbytes, np.uint8)
-        offset = -raw.__array_interface__["data"][0] % _PAD
-    else:
-        # The base starts at the huge page: the slack ahead, never
-        # touched, is not counted as the view's buffer.
-        whole = np.empty(nbytes + _HUGE_PAGE, np.uint8)
-        start = -whole.__array_interface__["data"][0] % _HUGE_PAGE
-        raw = np.frombuffer(memoryview(whole)[start:start + nbytes], np.uint8)
-        offset = 0
-    view = np.ndarray((m, n), dtype, raw, offset, (stride, itemsize))
+    raw = np.empty(m * stride + max(_PAD - pad, 0), np.uint8)
+    view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
+                      (stride, itemsize))
     key = id(view)
     _aligned_views[key] = weakref.ref(
         view, lambda _, key=key, views=_aligned_views: views.pop(key, None))
@@ -435,21 +418,6 @@ def _column_blocks(m, k, n):
         return (slice(0, n),)
     return [slice(i * n // pieces, (i + 1) * n // pieces)
             for i in range(pieces)]
-
-
-def _blocks(T, N):
-    """(rows, columns) slices over a (T, N) array: column blocks of at most
-    ``_COLS`` columns, each cut in order into rows enough for about
-    ``_COLS`` elements, so a chain of elementwise passes (the IF/LIF array
-    loop's charge, fire and carry, the surrogate gradient) runs on a block
-    while it is in L2. An array of at most two blocks is one block;
-    blocked, T=16, N=8192 ran slower."""
-    if T * N <= 2 * _COLS:
-        return [(slice(0, T), slice(0, N))]
-    cols = min(N, _COLS)
-    step = _COLS // cols
-    return [(slice(a, min(a + step, T)), slice(c, min(c + cols, N)))
-            for c in range(0, N, cols) for a in range(0, T, step)]
 
 
 def _product(a, b, out=None, plain=False):

@@ -840,71 +840,6 @@ def test_aligned_registry_drops_each_view_with_the_view():
     assert len(tensor._aligned_views) <= before
 
 
-def _address(arr):
-    return arr.__array_interface__["data"][0]
-
-
-@pytest.mark.parametrize("pad", [0, tensor._PAD])
-def test_aligned_starts_a_large_view_on_a_huge_page(pad):
-    """From _HUGE_MIN_BYTES an _aligned view starts on a _HUGE_PAGE
-    boundary, below it on a cache line; its rows still lie a row plus
-    ``pad`` bytes apart, inside the buffer it owns, and it writes and
-    reads back whole."""
-    n = tensor._HUGE_MIN_BYTES // 4 // 32
-    for m, align in ((32, tensor._HUGE_PAGE), (31, tensor._PAD)):
-        view = tensor._aligned(m, n, np.float32, pad)
-        assert _address(view) % align == 0
-        assert view.strides == (4 * n + pad, 4)
-        assert tensor._owns_base(view)
-        # The base, which the tracker counts, leaves out the slack before
-        # a huge page: its bytes are those of a 64-byte alignment.
-        assert view.base.nbytes == m * (4 * n + pad) + tensor._PAD - pad
-        view[...] = 1.0
-        assert view.sum() == m * n
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("upstream", ["sum_all", "random"])
-@pytest.mark.parametrize("relaxed", [False, True])
-@pytest.mark.parametrize("kind", ["psn", "masked-psn", "spsn"])
-def test_block_walked_surrogate_keeps_the_step_bits(kind, relaxed,
-                                                    upstream):
-    """A taped step whose (T, N) charge spans many ``_blocks`` blocks fires
-    and takes its surrogate gradient block by block, into buffers that
-    start on a huge page: h, s and x.grad match the same step run on
-    column pieces of one block each, bit for bit, with a threshold that
-    differs from row to row and a sum_all or random upstream gradient."""
-    T, N = 32, tensor._HUGE_MIN_BYTES // 4 // 32
-    params = make(kind, T, np.random.default_rng(3),
-                  {"order": 4} if kind in ORDER_KINDS else None)
-    th = params.threshold.data
-    th[...] = np.linspace(0.5, 1.5, th.size).reshape(th.shape)
-    rng = np.random.default_rng(4)
-    data = rng.standard_normal((T, N), dtype=np.float32)
-    data[:, :4] = [np.nan, np.inf, -0.0, 1.0]
-    weights = rng.standard_normal((T, N), dtype=np.float32)
-
-    def step(c):
-        x = Tensor(np.ascontiguousarray(data[:, c]), requires_grad=True)
-        with Tape() as tape:
-            s = params.forward(x, relaxed=relaxed)
-            loss = (sum_all(s.s) if upstream == "sum_all"
-                    else sum_all(mul(s.s, Tensor(weights[:, c]))))
-            tape.backward(loss)
-        for p in params.parameters():
-            p.grad = None
-        return s.h.data, s.s.data, x.grad
-
-    whole = step(slice(0, N))
-    assert _address(whole[1]) % tensor._HUGE_PAGE == 0 or relaxed
-    width = 2 * tensor._COLS // T
-    assert len(tensor._blocks(T, width)) == 1
-    pieces = [step(slice(c, c + width)) for c in range(0, N, width)]
-    for i, name in enumerate(("h", "s", "x.grad")):
-        joined = np.concatenate([piece[i] for piece in pieces], axis=1)
-        assert whole[i].tobytes() == joined.tobytes(), name
-
-
 def _padded_copy(arr):
     """arr's values in a view whose leading-axis rows lie 64 bytes more than
     a row apart."""

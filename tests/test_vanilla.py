@@ -6,7 +6,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from psn import tensor
 from psn.bench import measure_memory, memory_summary
 from psn.errors import ContractError
 from psn.neurons import (SpikeTrace, VanillaNeuronParams,
@@ -316,7 +315,7 @@ def test_in_place_loop_is_the_taped_loop_bit_for_bit(kind, reset_mode,
     # charges from +0.0, so a -0.0 input at t=0 gives h +0.0 on both.
     # Reset-free: the untaped parallel_no_reset against the taped steps of
     # _taped_no_reset, which keep h[0] = scale * x[0] (-0.0 stays -0.0).
-    monkeypatch.setattr(tensor, "_COLS", 8)
+    monkeypatch.setattr(vanilla, "_COLS", 8)
     x = _serial_input(shape, dtype)
     p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
     free = p.forward(Tensor(x, dtype=dtype), relaxed=relaxed)
@@ -328,7 +327,7 @@ def test_in_place_loop_is_the_taped_loop_bit_for_bit(kind, reset_mode,
 @pytest.mark.parametrize("kind", ["if", "lif"])
 def test_in_place_loop_crosses_its_column_block_bit_for_bit(kind):
     x = 1.5 * np.random.default_rng(42).standard_normal(
-        (3, tensor._COLS + 5), dtype=np.float32)
+        (3, vanilla._COLS + 5), dtype=np.float32)
     p = VanillaNeuronParams(kind=kind, reset_mode="hard")
     _assert_same_bits(vanilla_sequence(Tensor(x), p), _taped(x, p))
 
