@@ -9,7 +9,8 @@ loop over one (T, N) block walk, of about ``psn.tensor._COLS`` elements a
 block, the column block of short products. ``vanilla_sequence`` runs the
 hard reset: a call that a tape records takes one taped op per stage and
 step (one charge, one fire, one reset), and any other call the array
-loop, with the same bits.
+loop, with the same bits, in five numpy calls a row for LIF and four for
+IF, firing into a reused block of bools.
 ``parallel_no_reset`` runs the reset-free mode, a fixed linear recurrence,
 as one taped op around the array loop, whose backward walks the blocks in
 reverse. The hard reset makes the recurrence nonlinear in the spikes, so
@@ -66,7 +67,7 @@ def apply_reset(h, s, p, relaxed=False):
     """
     hd, sd = h.data, s.data
     v_reset = hd.dtype.type(p.v_reset)
-    out = hd + sd * (v_reset - hd) if relaxed else _select_reset(hd, sd)
+    out = hd + sd * (v_reset - hd) if relaxed else _select_reset(hd, sd == 0)
 
     def backward(gouts):
         g = gouts[0]
@@ -83,18 +84,18 @@ _BITS = {np.dtype(np.float16): np.dtype(np.uint16),
          np.dtype(np.float64): np.dtype(np.uint64)}
 
 
-def _select_reset(hd, sd, out=None):
-    """Bit-exact np.where(sd, +0.0, hd), without a branch per element.
+def _select_reset(hd, keep):
+    """Bit-exact np.where(keep, hd, +0.0), without a branch per element.
 
     +0.0 has no bit set, so on the floats' unsigned integer bits it is
-    bits(hd) * (sd == 0); np.where instead branches per element, and
-    scattered spikes make that branch mispredict. Without ``out`` the
-    result owns its buffer, as np.where's did, so the allocation tracker
-    counts it.
+    bits(hd) * keep, as ``_array_loop`` resets too; np.where instead
+    branches per element, and scattered spikes make that branch mispredict.
+    The result owns its buffer, as np.where's did, so the allocation
+    tracker counts it.
     """
     bits = _BITS[hd.dtype]
-    out = np.empty_like(hd) if out is None else out
-    np.multiply(hd.view(bits), np.equal(sd, 0), out=out.view(bits))
+    out = np.empty_like(hd)
+    np.multiply(hd.view(bits), keep, out=out.view(bits))
     return out
 
 
@@ -125,9 +126,9 @@ def vanilla_sequence(x, p, *, relaxed=False):
 
 
 def _charge(v, x_t, decay, k):
-    """h = decay * v + k * x_t as one taped op, with the operands and order,
-    so the bits, of ``add(scale(v, decay), scale(x_t, k))``; for IF (k = 1)
-    those of ``add(v, x_t)``, with add's gradients (g, g)."""
+    """h = decay * v + k * x_t as one taped op: the product v * decay plus
+    the product x_t * k, in that operand order; for IF (k = 1) v + x_t,
+    with gradients (g, g)."""
     if k == 1:
         out = v.data + x_t.data
     else:
@@ -182,42 +183,60 @@ def _array_loop(xd, p, relaxed):
     """(h, s) of ``p`` over the T rows of the (T, N) ``xd``, written in
     place block by block.
 
-    Hard: per row, charge into h with the taped loop's operands in its
-    order from a carry of +0.0 (IF adds it unscaled), fire into s and reset
-    into the carry, so every bit is the taped loop's; the last reset, which
-    nothing reads, is skipped. Reset-free: scale a block into h, carry it on
-    from the row before, fire it; so h[0] = scale * x[0], with no +0.0.
+    Hard: a LIF block's inputs are scaled into its block of h first. Per
+    row, charge into h from a carry of +0.0 with the taped loop's operands
+    in its order (LIF: carry * decay in place, + the scaled x_t), fire, and
+    reset into the carry but on the last row, so every bit is the taped
+    loop's. Exact, a row fires into a reused block of bools (one more row
+    holds their negation), cast into s after the block, and resets as
+    ``_select_reset`` does: five numpy calls a row for LIF, four for IF.
+    Relaxed, a row fires into s and resets algebraically.
+    Reset-free: scale a block into h, carry it on from the row before,
+    fire it; so h[0] = scale * x[0], with no +0.0.
     """
     h = np.empty(xd.shape, xd.dtype)
     s = np.empty_like(h)
     decay, scale, v_th = _constants(p, xd.dtype.type)
     blocks = _blocks(*xd.shape)
-    carry = np.empty((2, blocks[0][1].stop), xd.dtype)
-    for rows, cols in blocks:
-        if p.reset_mode == "none":
+    rows, cols = blocks[0]
+    carries = np.empty(cols.stop, xd.dtype)
+    if p.reset_mode == "none":
+        for rows, cols in blocks:
             hb = h[rows, cols]
             np.multiply(xd[rows, cols], scale, hb)
             _recurrence(h[:, cols], decay, rows.start, rows.stop,
-                        carry[0, :hb.shape[1]])
+                        carries[:hb.shape[1]])
             _fire(hb, v_th, relaxed, s[rows, cols])
-            continue
+        return h, s
+    fired = np.empty((rows.stop + 1, cols.stop), bool)
+    lif, last = p.kind == "lif", len(h) - 1
+    for rows, cols in blocks:
+        hb, sb, xb = h[rows, cols], s[rows, cols], xd[rows, cols]
         if rows.start == 0:
-            v, xs = carry[:, :cols.stop - cols.start]
-            v.fill(0)
-        steps = zip(xd[rows, cols], h[rows, cols], s[rows, cols])
-        for t, (x_t, h_t, s_t) in enumerate(steps, rows.start):
-            if p.kind == "if":
-                np.add(v, x_t, h_t)
+            n = hb.shape[1]
+            carry, keep = carries[:n], fired[-1, :n]
+            carry.fill(0)
+            carry_bits = carry.view(_BITS[xd.dtype])
+        if lif:
+            xb = np.multiply(xb, scale, hb)
+        spikes = sb if relaxed else fired[:len(hb), :n]
+        steps = zip(xb, hb, hb.view(carry_bits.dtype), spikes)
+        for t, (x_t, h_t, h_bits, s_t) in enumerate(steps, rows.start):
+            if lif:
+                np.multiply(carry, decay, carry)
+            np.add(carry, x_t, h_t)
+            if relaxed:
+                _fire(h_t, v_th, relaxed, s_t)
             else:
-                np.multiply(v, decay, h_t)
-                np.add(h_t, np.multiply(x_t, scale, xs), h_t)
-            _fire(h_t, v_th, relaxed, s_t)
-            if t == len(h) - 1:
+                np.greater_equal(h_t, v_th, s_t)
+            if t == last:
                 continue
             if relaxed:
-                np.add(h_t, s_t * (p.v_reset - h_t), v)
+                np.add(h_t, s_t * (p.v_reset - h_t), carry)
             else:
-                _select_reset(h_t, s_t, v)
+                np.multiply(h_bits, np.logical_not(s_t, keep), carry_bits)
+        if not relaxed:
+            sb[...] = spikes
     return h, s
 
 

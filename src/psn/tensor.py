@@ -31,6 +31,7 @@ the next forward records fresh ops.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import threading
 import weakref
@@ -369,12 +370,15 @@ def _aligned(m, n, dtype, pad=0):
     """An uninitialised (m, n) view that starts on a 64-byte boundary, with
     rows a row plus ``pad`` bytes apart. The view owns its base buffer:
     ``_track_buffer`` counts that buffer, and ``Tape.backward`` may keep
-    the view as a gradient."""
+    the view as a gradient. ``c_char.from_buffer`` reads the base address
+    in half the time of ``raw.ctypes.data``; it refuses an empty buffer,
+    which no call asks for: a ``pad`` of 0 adds 64 bytes, and ``_padded``
+    asks for at least 32 rows of at least 4 KiB."""
     itemsize = np.dtype(dtype).itemsize
     stride = n * itemsize + pad
     raw = np.empty(m * stride + max(_PAD - pad, 0), np.uint8)
-    view = np.ndarray((m, n), dtype, raw, -raw.ctypes.data % _PAD,
-                      (stride, itemsize))
+    address = ctypes.addressof(ctypes.c_char.from_buffer(raw))
+    view = np.ndarray((m, n), dtype, raw, -address % _PAD, (stride, itemsize))
     key = id(view)
     _aligned_views[key] = weakref.ref(
         view, lambda _, key=key, views=_aligned_views: views.pop(key, None))
@@ -606,19 +610,6 @@ def _same_shape(op_name, a, b):
             f"{b.data.shape}")
 
 
-def add(a, b):
-    """Elementwise a + b of two equal-shaped tensors."""
-    _same_shape("add", a, b)
-    out = a.data + b.data
-
-    def backward(gouts):
-        g = gouts[0]
-        return (g if a.requires_grad else None,
-                g if b.requires_grad else None)
-
-    return taped_op((a, b), out, backward)
-
-
 def mul(a, b):
     """Elementwise a * b of two equal-shaped tensors."""
     _same_shape("mul", a, b)
@@ -631,17 +622,6 @@ def mul(a, b):
                 g * ad if b.requires_grad else None)
 
     return taped_op((a, b), out, backward)
-
-
-def scale(a, k):
-    """Elementwise a * k with a python scalar k."""
-    k = a.data.dtype.type(k)
-    out = a.data * k
-
-    def backward(gouts):
-        return (gouts[0] * k,)
-
-    return taped_op((a,), out, backward)
 
 
 def reshape(a, shape):

@@ -145,7 +145,7 @@ def train(model, train_batch, test_batch, cfg):
         loss_total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = Tensor(np.ascontiguousarray(inputs[:, idx, :]))
+            xb = Tensor(np.take(inputs, idx, axis=1))
             yb = labels[idx]
             optimizer.zero_grad()
             with Tape() as tape:

@@ -14,11 +14,22 @@ import pytest
 from psn.errors import ContractError, ShapeMismatchError
 from psn import tensor
 from psn.tensor import (_BAND_MIN_T, _BAND_ROWS, _CHUNK, Tape, Tensor,
-                        _column_sum, _product, active_tape, add, linear,
-                        matmul, mean_axis0, mul, no_tape, reshape, scale,
+                        _column_sum, _product, active_tape, linear, matmul,
+                        mean_axis0, mul, no_tape, reshape,
                         split_rows, stack_rows, sum_all, taped_op, tracker)
 from psn.neurons import KINDS, ORDER_KINDS, make
 from psn.training import loss_ce_mean, loss_tet
+
+
+def _add(a, b):
+    """a + b as one taped op, gradients (g, g): ``a.data + b.data``."""
+    return taped_op((a, b), a.data + b.data, lambda gouts: gouts * 2)
+
+
+def _scale(a, k):
+    """a * k as one taped op for a python scalar k: ``a.data * dtype(k)``."""
+    k = a.data.dtype.type(k)
+    return taped_op((a,), a.data * k, lambda gouts: (gouts[0] * k,))
 
 
 def _fd_grad(f, x0, eps=1e-3):
@@ -68,11 +79,6 @@ def test_matmul_associativity():
     np.testing.assert_allclose(left, right, atol=1e-5)
 
 
-def test_add_elementwise():
-    out = add(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])))
-    np.testing.assert_array_equal(out.data, [4.0, 6.0])
-
-
 def test_mul_by_zero_annihilates_value_and_gradient():
     x = Tensor(np.array([2.0, -3.0]), requires_grad=True)
     z = Tensor(np.zeros(2))
@@ -81,13 +87,6 @@ def test_mul_by_zero_annihilates_value_and_gradient():
         tape.backward(loss)
     np.testing.assert_array_equal(loss.data, 0.0)
     np.testing.assert_array_equal(x.grad, np.zeros(2))
-
-
-def test_scale_values():
-    out = scale(Tensor(np.array([2.0])), 0.5)
-    np.testing.assert_array_equal(out.data, [1.0])
-    ident = scale(Tensor(np.array([7.0, -1.0])), 1.0)
-    np.testing.assert_array_equal(ident.data, [7.0, -1.0])
 
 
 def test_reshape_roundtrip():
@@ -109,7 +108,7 @@ def test_split_rows_backward_zeroes_rows_without_a_gradient():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     with Tape() as tape:
         rows = split_rows(x)
-        loss = add(sum_all(rows[0]), sum_all(mul(rows[2], rows[2])))
+        loss = _add(sum_all(rows[0]), sum_all(mul(rows[2], rows[2])))
         tape.backward(loss)
     want = np.array([[1.0] * 4, [0.0] * 4, 2.0 * x.data[2]])
     np.testing.assert_array_equal(x.grad, want)
@@ -143,7 +142,7 @@ def test_backward_accumulates_across_calls():
 def test_backward_rejects_non_scalar_loss():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        y = add(x, x)
+        y = _add(x, x)
         with pytest.raises(ContractError):
             tape.backward(y)
 
@@ -600,16 +599,7 @@ def test_shared_contributions_are_copied_into_a_fresh_gradient():
     np.testing.assert_array_equal(b.grad, twice)
 
 
-def test_scale_grad_is_uniform():
-    x0 = np.array([0.3, -1.2, 2.0])
-    x = Tensor(x0.copy(), requires_grad=True)
-    with Tape() as tape:
-        tape.backward(sum_all(scale(x, -2.5)))
-    np.testing.assert_allclose(x.grad, np.full(3, -2.5), rtol=1e-12)
-
-
 @pytest.mark.parametrize("op,f", [
-    (add, lambda a, b: a + b),
     (mul, lambda a, b: a * b),
 ])
 def test_elementwise_grads_match_fd(op, f):
@@ -627,15 +617,14 @@ def test_elementwise_grads_match_fd(op, f):
 
 
 def test_leading_axis_vector_is_not_broadcast():
-    # add and mul take equal shapes only: no vector, scalar or other
-    # broadcast, along any axis and in either operand.
+    # mul takes equal shapes only: no vector, scalar or other broadcast,
+    # along any axis and in either operand.
     h = Tensor(np.zeros((3, 4)))
-    for op in (add, mul):
-        for other in ((3,), (4,), (), (1, 4), (4, 3), (3, 4, 1)):
-            for a, b in ((h, Tensor(np.zeros(other))),
-                         (Tensor(np.zeros(other)), h)):
-                with pytest.raises(ShapeMismatchError, match="equal shapes"):
-                    op(a, b)
+    for other in ((3,), (4,), (), (1, 4), (4, 3), (3, 4, 1)):
+        for a, b in ((h, Tensor(np.zeros(other))),
+                     (Tensor(np.zeros(other)), h)):
+            with pytest.raises(ShapeMismatchError, match="equal shapes"):
+                mul(a, b)
 
 
 @pytest.mark.parametrize("op,f", [
@@ -684,7 +673,7 @@ def test_no_tape_blocks_recording():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape() as tape:
         with no_tape():
-            y = add(x, x)
+            y = _add(x, x)
         assert active_tape() is tape
     assert y.data.shape == (2,)
     assert x.grad is None
@@ -713,7 +702,7 @@ def test_zero_grad_resets_a_zero_d_leaf():
     # not take it as .grad, as zero_grad can fill only an ndarray.
     a = Tensor(np.asarray(1.5), requires_grad=True)
     b = Tensor(np.asarray(-2.0), requires_grad=True)
-    for loss, leaves in ((lambda: scale(a, 2.0), (a,)),
+    for loss, leaves in ((lambda: _scale(a, 2.0), (a,)),
                          (lambda: mul(a, b), (a, b))):
         for t in leaves:
             t.grad = None
@@ -727,7 +716,7 @@ def test_zero_grad_resets_a_zero_d_leaf():
 
 def test_ops_outside_tape_are_pure_forward():
     x = Tensor(np.ones(2), requires_grad=True)
-    y = add(x, x)  # no active tape
+    y = _add(x, x)  # no active tape
     np.testing.assert_array_equal(y.data, [2.0, 2.0])
     assert x.grad is None
 
@@ -736,11 +725,11 @@ def test_ops_whose_inputs_need_no_grad_record_nothing():
     x = Tensor(np.ones((2, 3)))
     w = Tensor(np.ones((3, 3)))
     with Tape() as tape:
-        outs = [add(x, x), mul(x, x), scale(x, 2.0),
+        outs = [_add(x, x), mul(x, x), _scale(x, 2.0),
                 matmul(x, w), sum_all(x), stack_rows(split_rows(x))]
         assert len(tape) == 0
         assert not any(o.requires_grad for o in outs)
-        y = add(x, Tensor(np.ones((2, 3)), requires_grad=True))
+        y = _add(x, Tensor(np.ones((2, 3)), requires_grad=True))
         assert len(tape) == 1 and y.requires_grad
 
 
@@ -750,7 +739,7 @@ def test_ops_outside_any_tape_record_nothing():
     with Tape() as closed:
         pass
     assert active_tape() is None
-    y = sum_all(stack_rows(split_rows(mul(x, scale(x, 2.0)))))
+    y = sum_all(stack_rows(split_rows(mul(x, _scale(x, 2.0)))))
     assert y.requires_grad
     assert len(idle) == 0 and len(closed) == 0
 
@@ -765,7 +754,7 @@ def test_float64_scalars_infer_float64():
     assert Tensor(np.float64(0.5), dtype=np.float32).data.dtype == np.float32
     h = Tensor(np.float64(0.1), requires_grad=True)
     with Tape() as tape:
-        tape.backward(sum_all(scale(h, 3.0)))
+        tape.backward(sum_all(_scale(h, 3.0)))
     assert h.data == 0.1 and h.grad.dtype == np.float64
 
 
@@ -867,9 +856,7 @@ def _layout_cases():
         "matmul-banded": ((banded, arr(T, N)),
                           lambda a, b: matmul(a, b, band=4)),
         "linear": ((arr(T, 64, 32), arr(32, 16), arr(16)), linear),
-        "add": ((arr(T, N), arr(T, N)), add),
         "mul": ((arr(T, N), arr(T, N)), mul),
-        "scale": ((arr(T, N),), lambda a: scale(a, 0.5)),
         "reshape": ((arr(T, N),), lambda a: reshape(a, (T, 64, 32))),
         "sum_all": ((arr(T, N),), sum_all),
         "mean_axis0": ((arr(T, N),), mean_axis0),
