@@ -25,6 +25,8 @@ crash never leaves a half-written checkpoint at the target path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .atomic import write_atomic
@@ -135,7 +137,7 @@ def load_checkpoint(path):
     payload_start = pos
     out = {}
     for name, shape, off, length in entries:
-        n_elem = int(np.prod(shape)) if shape else 1
+        n_elem = math.prod(shape)
         if length != n_elem * 4:
             raise ParseError(
                 f"entry {name!r}: length {length} disagrees with shape {shape}",

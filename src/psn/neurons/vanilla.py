@@ -7,10 +7,10 @@ reset (hard: jump to v_reset; none: V = H), from a potential of 0, with
 tau_m 2, v_th 1 and v_reset +0.0 fixed. Both reset modes run one array
 loop over one (T, N) block walk, of about ``psn.tensor._COLS`` elements a
 block, the column block of short products. ``vanilla_sequence`` runs the
-hard reset: a call that a tape records takes one taped op per stage and
-step (one charge, one fire, one reset), and any other call the array
-loop, with the same bits, in five numpy calls a row for LIF and four for
-IF, firing into a reused block of bools.
+hard reset: a call that a tape records, and every relaxed call, takes one
+taped op per stage and step (one charge, one fire, one reset); any other
+call runs the array loop, with the same bits, in five numpy calls a row
+for LIF and four for IF, firing into a reused block of bools.
 ``parallel_no_reset`` runs the reset-free mode, a fixed linear recurrence,
 as one taped op around the array loop, whose backward walks the blocks in
 reverse. The hard reset makes the recurrence nonlinear in the spikes, so
@@ -101,16 +101,16 @@ def _select_reset(hd, keep):
 
 def vanilla_sequence(x, p, *, relaxed=False):
     """Run the hard-reset loop over the T rows of the (T, N) input ``x``. A
-    call that records (x requires grad, a tape is active) tapes one charge
-    (``_charge``), one fire and one reset per step between a split and a
-    stack, 3T + 2 ops for IF and LIF alike; any other call runs
-    ``_array_loop``."""
+    call that records (x requires grad, a tape is active) or is relaxed
+    runs one charge (``_charge``), one fire and one reset op per step
+    between a split and a stack, 3T + 2 ops for IF and LIF alike; any
+    other call runs ``_array_loop``."""
     _check_input(x, "vanilla_sequence")
     if p.reset_mode != "hard":
         raise ContractError("vanilla_sequence runs the hard reset only; the "
                             "reset-free kinds run parallel_no_reset")
-    if not x.requires_grad or active_tape() is None:
-        h, s = _array_loop(x.data, p, relaxed)
+    if not relaxed and (not x.requires_grad or active_tape() is None):
+        h, s = _array_loop(x.data, p, False)
         return SpikeTrace(Tensor._make(s, False), h=Tensor._make(h, False))
     rows = split_rows(x)
     v = Tensor._make(np.zeros(rows[0].data.shape, x.data.dtype), False)
@@ -187,12 +187,12 @@ def _array_loop(xd, p, relaxed):
     row, charge into h from a carry of +0.0 with the taped loop's operands
     in its order (LIF: carry * decay in place, + the scaled x_t), fire, and
     reset into the carry but on the last row, so every bit is the taped
-    loop's. Exact, a row fires into a reused block of bools (one more row
-    holds their negation), cast into s after the block, and resets as
+    loop's. A row fires into a reused block of bools (one more row holds
+    their negation), cast into s after the block, and resets as
     ``_select_reset`` does: five numpy calls a row for LIF, four for IF.
-    Relaxed, a row fires into s and resets algebraically.
+    The hard reset is exact only; a relaxed call runs the taped ops.
     Reset-free: scale a block into h, carry it on from the row before,
-    fire it; so h[0] = scale * x[0], with no +0.0.
+    fire it (relaxed or not); so h[0] = scale * x[0], with no +0.0.
     """
     h = np.empty(xd.shape, xd.dtype)
     s = np.empty_like(h)
@@ -219,24 +219,16 @@ def _array_loop(xd, p, relaxed):
             carry_bits = carry.view(_BITS[xd.dtype])
         if lif:
             xb = np.multiply(xb, scale, hb)
-        spikes = sb if relaxed else fired[:len(hb), :n]
+        spikes = fired[:len(hb), :n]
         steps = zip(xb, hb, hb.view(carry_bits.dtype), spikes)
         for t, (x_t, h_t, h_bits, s_t) in enumerate(steps, rows.start):
             if lif:
                 np.multiply(carry, decay, carry)
             np.add(carry, x_t, h_t)
-            if relaxed:
-                _fire(h_t, v_th, relaxed, s_t)
-            else:
-                np.greater_equal(h_t, v_th, s_t)
-            if t == last:
-                continue
-            if relaxed:
-                np.add(h_t, s_t * (p.v_reset - h_t), carry)
-            else:
+            np.greater_equal(h_t, v_th, s_t)
+            if t != last:
                 np.multiply(h_bits, np.logical_not(s_t, keep), carry_bits)
-        if not relaxed:
-            sb[...] = spikes
+        sb[...] = spikes
     return h, s
 
 

@@ -201,10 +201,10 @@ class Tape:
         ``loss`` must be a scalar tensor produced on this tape. Repeated calls
         accumulate again; there is no implicit zeroing. A leaf whose ``.grad``
         is None takes its first contribution as ``.grad`` when that array is
-        fresh and owned: not a view (a view from ``_aligned``, such as a
-        padded product output, excepted), not one of the op's output
-        gradients and not returned for two inputs of the op. Anything else
-        is copied.
+        fresh and owned: not a view (a view whose base is an ``_aligned``
+        buffer, such as a padded product output, excepted; a view of that
+        view is not), not one of the op's output gradients and not
+        returned for two inputs of the op. Anything else is copied.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -361,28 +361,27 @@ _PAD_MIN_BYTES = 4 << 20
 # row padding.
 _PAD = 64
 
-# id -> a weak reference to each live view _aligned handed out, whose
-# callback drops the entry; about half a WeakValueDictionary's cost.
-_aligned_views = {}
+
+class _Raw(np.ndarray):
+    """The bytes under an ``_aligned`` view: numpy stops collapsing bases
+    at a change of type, so a view of the view has the view as base."""
 
 
 def _aligned(m, n, dtype, pad=0):
     """An uninitialised (m, n) view that starts on a 64-byte boundary, with
-    rows a row plus ``pad`` bytes apart. The view owns its base buffer:
-    ``_track_buffer`` counts that buffer, and ``Tape.backward`` may keep
-    the view as a gradient. ``c_char.from_buffer`` reads the base address
-    in half the time of ``raw.ctypes.data``; it refuses an empty buffer,
-    which no call asks for: a ``pad`` of 0 adds 64 bytes, and ``_padded``
-    asks for at least 32 rows of at least 4 KiB."""
+    rows a row plus ``pad`` bytes apart. Its ``_Raw`` base marks it as the
+    buffer's owner: ``_track_buffer`` counts that buffer, and
+    ``Tape.backward`` may keep the view as a gradient; a row, reshape or
+    transpose of it owns nothing and keeps it alive.
+    ``c_char.from_buffer`` reads the base address in half the time of
+    ``raw.ctypes.data``; it refuses an empty buffer, which no call asks
+    for: a ``pad`` of 0 adds 64 bytes, and ``_padded`` asks for at least
+    32 rows of at least 4 KiB."""
     itemsize = np.dtype(dtype).itemsize
     stride = n * itemsize + pad
-    raw = np.empty(m * stride + max(_PAD - pad, 0), np.uint8)
+    raw = _Raw(m * stride + max(_PAD - pad, 0), np.uint8)
     address = ctypes.addressof(ctypes.c_char.from_buffer(raw))
-    view = np.ndarray((m, n), dtype, raw, -address % _PAD, (stride, itemsize))
-    key = id(view)
-    _aligned_views[key] = weakref.ref(
-        view, lambda _, key=key, views=_aligned_views: views.pop(key, None))
-    return view
+    return np.ndarray((m, n), dtype, raw, -address % _PAD, (stride, itemsize))
 
 
 def _padded(m, n, dtype):
@@ -402,9 +401,9 @@ def _padded(m, n, dtype):
 
 
 def _owns_base(arr):
-    """Whether ``arr`` is a view _aligned handed out (not a view of one)."""
-    ref = _aligned_views.get(id(arr))
-    return ref is not None and ref() is arr
+    """Whether ``arr`` is a view _aligned handed out (not a view of one):
+    only such a view has a ``_Raw`` base."""
+    return type(arr.base) is _Raw
 
 
 def _buffer_bytes(arr):

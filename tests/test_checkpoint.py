@@ -119,6 +119,9 @@ def _write_raw(path, entry_lines, payload_bytes=32):
     pytest.param(["a 2 0 8", "b 3 4 12"], id="overlapping-offset"),
     pytest.param(["a 2 0 8", "b 3 12 12"], id="gap-between-offsets"),
     pytest.param(["a 2 4 8", "b 3 12 12"], id="gap-before-first"),
+    # 2^64 elements: an int64 product wraps to 0 and passes a length of 0.
+    pytest.param(["a 4294967296,4294967296 0 0", "b 3 0 12"],
+                 id="overflowing-shape"),
 ])
 def test_malformed_header_field_is_rejected(tmp_path, entry_lines):
     path = tmp_path / "m.ckpt"

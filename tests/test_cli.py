@@ -241,6 +241,25 @@ def test_eval_rejects_a_non_ascii_shape_in_a_checkpoint(train_run, tmp_path,
     assert "malformed header entry" in capsys.readouterr().err
 
 
+def test_eval_rejects_an_overflowing_checkpoint_shape(train_run, tmp_path,
+                                                      capsys):
+    import shutil
+    run = tmp_path / "run"
+    shutil.copytree(train_run, run)
+    ckpt = run / "model.ckpt"
+    blob = ckpt.read_bytes()
+    # Give the last entry 2^64 elements and no payload: an int64 count of
+    # them wraps to 0, which would pass the length check.
+    line_end = blob.index(b"\nend\n")
+    last = blob.rindex(b"\n", 0, line_end) + 1
+    name, _, off, _ = blob[last:line_end].split()
+    ckpt.write_bytes(blob[:last] + b" ".join(
+        [name, b"4294967296,4294967296", off, b"0"]) + blob[line_end:])
+    assert _run(["eval", str(run)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "disagrees with shape" in err and "Traceback" not in err
+
+
 def test_train_masked_records_lambda(tmp_path):
     out_dir = tmp_path / "masked"
     code = _run(["train", "--neuron", "masked-psn", "--order", "2",

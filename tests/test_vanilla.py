@@ -178,10 +178,10 @@ def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode,
                                                         monkeypatch):
     # Hard: a call records when x requires grad and a tape is active:
     # split_rows and stack_rows, then one charge op, one fire and one reset
-    # per step, for IF and LIF alike. Any other call,
-    # evaluate()'s requires-grad input under no_tape() included, runs the
-    # array loop. Reset-free: every call runs the array loop, and a
-    # recording one records it as one op.
+    # per step, for IF and LIF alike. A relaxed call runs those ops too,
+    # recorded or not. Any other call, evaluate()'s requires-grad input
+    # under no_tape() included, runs the array loop. Reset-free: every call
+    # runs the array loop, and a recording one records it as one op.
     calls = []
     array_loop = vanilla._array_loop
     monkeypatch.setattr(vanilla, "_array_loop",
@@ -203,6 +203,14 @@ def test_serial_loop_records_one_op_per_stage_and_step(T, kind, reset_mode,
     p.forward(x)
     assert len(tape) == 0
     assert len(calls) == 3
+    if reset_mode == "hard":
+        calls.clear()
+        with Tape() as tape:
+            p.forward(x, relaxed=True)
+        p.forward(x, relaxed=True)
+        p.forward(Tensor(np.ones((T, 3))), relaxed=True)
+        assert len(tape) == 3 * T + 2
+        assert not calls
 
 
 def _serial_input(shape, dtype):
@@ -324,7 +332,9 @@ def test_in_place_loop_is_the_taped_loop_bit_for_bit(kind, reset_mode,
                                                      relaxed, dtype, shape,
                                                      monkeypatch):
     # Hard: the array loop against vanilla_sequence's taped loop, which
-    # charges from +0.0, so a -0.0 input at t=0 gives h +0.0 on both.
+    # charges from +0.0, so a -0.0 input at t=0 gives h +0.0 on both. A
+    # relaxed hard call runs the taped loop's ops unrecorded, so those cases
+    # pin that recording leaves its bits alone.
     # Reset-free: the untaped parallel_no_reset against the taped steps of
     # _taped_no_reset, which keep h[0] = scale * x[0] (-0.0 stays -0.0).
     monkeypatch.setattr(vanilla, "_COLS", 8)
