@@ -496,11 +496,12 @@ def cmd_eval(args):
 def cmd_verify(args):
     from .verify import run_suites
 
-    names = args.suite
+    # A suite named twice runs once, where it was first named.
+    names = list(dict.fromkeys(args.suite or _SUITE_CHOICES))
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = Manifest(
         os.path.join(args.out_dir, "verify-manifest.json"), "verify",
-        config={"suites": list(names) if names else list(_SUITE_CHOICES)},
+        config={"suites": names},
         seed=None, threads=args.resolved_threads)
     manifest.write()
 

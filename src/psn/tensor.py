@@ -104,21 +104,21 @@ def _track_buffer(owner, arr):
 class Tensor:
     """A numpy array plus gradient plumbing.
 
-    ``data`` is the value, ``grad`` is a same-shaped array or None, and
-    ``node_id`` identifies the tensor on tapes. ``requires_grad`` marks
-    leaves the user wants gradients for; it also turns on recording for
-    anything computed from this tensor while a tape is active.
+    ``data`` is the value, float64 if given numpy float64 data and float32
+    otherwise; ``grad`` is a same-shaped array or None, and ``node_id``
+    identifies the tensor on tapes. ``requires_grad`` marks leaves the user
+    wants gradients for; it also turns on recording for anything computed
+    from this tensor while a tape is active.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        if dtype is None:
-            if (isinstance(data, (np.ndarray, np.generic))
-                    and data.dtype == np.float64):
-                dtype = np.float64
-            else:
-                dtype = np.float32
+    def __init__(self, data, requires_grad=False):
+        if (isinstance(data, (np.ndarray, np.generic))
+                and data.dtype == np.float64):
+            dtype = np.float64
+        else:
+            dtype = np.float32
         arr = np.asarray(data, dtype=dtype)
         self.data = arr
         self.grad = None

@@ -13,10 +13,17 @@ accumulated rounding (measured up to ~1e-5 on the largest grid cells) instead
 of by correctness, and a red suite must mean a wrong kernel, not a rounding
 tail. Each failure carries the exact (T, N, seed) that produced it so a red
 run is reproducible in isolation.
+
+Each suite is a generator over its fixed grid that yields one outcome per
+case, None for a pass or the failure's witness string; ``_suite`` runs it,
+counts and times the cases, and returns the ``SuiteResult``. A check that
+raises ends its suite as one more failed case naming the exception, so the
+other suites still run and the command still reports.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -58,11 +65,26 @@ class SuiteResult:
                 f"cases): {shown}")
 
 
-def _timed(name, body):
-    t0 = time.perf_counter()
-    cases, failures = body()
-    return SuiteResult(name, not failures, cases, failures,
-                       time.perf_counter() - t0)
+def _suite(name):
+    """Run an outcome generator as the named suite and return its
+    ``SuiteResult``; an exception it raises is its last, failed case."""
+    def wrap(cases_of):
+        @functools.wraps(cases_of)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            cases, failures = 0, []
+            try:
+                for outcome in cases_of(*args, **kwargs):
+                    cases += 1
+                    if outcome is not None:
+                        failures.append(outcome)
+            except Exception as err:
+                cases += 1
+                failures.append(f"(raised {type(err).__name__}: {err})")
+            return SuiteResult(name, not failures, cases, failures,
+                               time.perf_counter() - t0)
+        return run
+    return wrap
 
 
 def _serial_charge(kind, x):
@@ -75,38 +97,30 @@ def _serial_charge(kind, x):
     return h
 
 
+@_suite("serial-parallel")
 def suite_serial_parallel(t_values=range(2, 65), n_values=(1, 16, 256),
                           num_seeds=100):
     """The whole-sequence charge and firing must match a float64 serial
     loop without reset."""
     t_values = tuple(t_values)
-
-    def body():
-        cases = 0
-        failures = []
-        for kind in ("if", "lif"):
-            p = VanillaNeuronParams(kind=kind, reset_mode="none")
-            for T in t_values:
-                for N in n_values:
-                    for seed in range(num_seeds):
-                        rng = np.random.default_rng([101, T, N, seed])
-                        x = rng.standard_normal((T, N))
-                        h_ser = _serial_charge(kind, x)
-                        par = parallel_no_reset(Tensor(x), p)
-                        cases += 1
-                        dh = float(np.abs(h_ser - par.h.data).max())
-                        # Spikes are only decidable where the charge clears
-                        # the threshold by more than the tolerance itself.
-                        decidable = np.abs(h_ser - p.v_th) > H_ATOL
-                        ds = np.any(((h_ser >= p.v_th) != par.s.data)
-                                    & decidable)
-                        if dh > H_ATOL or ds:
-                            failures.append(
-                                f"(T={T}, N={N}, seed={seed}, kind={kind}, "
-                                f"max|dH|={dh:.3g})")
-        return cases, failures
-
-    return _timed("serial-parallel", body)
+    for kind in ("if", "lif"):
+        p = VanillaNeuronParams(kind=kind, reset_mode="none")
+        for T in t_values:
+            for N in n_values:
+                for seed in range(num_seeds):
+                    rng = np.random.default_rng([101, T, N, seed])
+                    x = rng.standard_normal((T, N))
+                    h_ser = _serial_charge(kind, x)
+                    par = parallel_no_reset(Tensor(x), p)
+                    dh = float(np.abs(h_ser - par.h.data).max())
+                    # Spikes are only decidable where the charge clears the
+                    # threshold by more than the tolerance itself.
+                    decidable = np.abs(h_ser - p.v_th) > H_ATOL
+                    ds = np.any(((h_ser >= p.v_th) != par.s.data)
+                                & decidable)
+                    yield (f"(T={T}, N={N}, seed={seed}, kind={kind}, "
+                           f"max|dH|={dh:.3g})"
+                           if dh > H_ATOL or ds else None)
 
 
 def _subsumption_weight(kind, T):
@@ -123,37 +137,29 @@ def _subsumption_weight(kind, T):
 _PADDED_T, _PADDED_N = 64, 8192
 
 
+@_suite("psn-subsumption")
 def suite_psn_subsumption(t_values=range(1, 65), num_seeds=5, N=32):
     """Closed-form weights must reproduce the integrate-only neurons.
 
     Lower-triangular ones give the running sum; the geometric band gives the
     leaky version. Spikes must agree exactly, charge to tolerance.
     """
-
-    def body():
-        cases = 0
-        failures = []
-        grid = [(T, N) for T in t_values] + [(_PADDED_T, _PADDED_N)]
-        for kind in ("if", "lif"):
-            vp = VanillaNeuronParams(kind=kind, reset_mode="none")
-            for T, n in grid:
-                w = _subsumption_weight(kind, T)
-                pp = PSNParams(Tensor(w), Tensor(np.full(T, vp.v_th)))
-                for seed in range(num_seeds):
-                    rng = np.random.default_rng([211, T, seed])
-                    x = rng.standard_normal((T, n))
-                    ref = parallel_no_reset(Tensor(x), vp)
-                    got = psn_forward(Tensor(x), pp)
-                    cases += 1
-                    dh = float(np.abs(ref.h.data - got.h.data).max())
-                    same_spikes = np.array_equal(ref.s.data, got.s.data)
-                    if dh > H_ATOL or not same_spikes:
-                        failures.append(
-                            f"(T={T}, N={n}, seed={seed}, kind={kind}, "
-                            f"max|dH|={dh:.3g}, spikes_equal={same_spikes})")
-        return cases, failures
-
-    return _timed("psn-subsumption", body)
+    grid = [(T, N) for T in t_values] + [(_PADDED_T, _PADDED_N)]
+    for kind in ("if", "lif"):
+        vp = VanillaNeuronParams(kind=kind, reset_mode="none")
+        for T, n in grid:
+            w = _subsumption_weight(kind, T)
+            pp = PSNParams(Tensor(w), Tensor(np.full(T, vp.v_th)))
+            for seed in range(num_seeds):
+                rng = np.random.default_rng([211, T, seed])
+                x = rng.standard_normal((T, n))
+                ref = parallel_no_reset(Tensor(x), vp)
+                got = psn_forward(Tensor(x), pp)
+                dh = float(np.abs(ref.h.data - got.h.data).max())
+                same_spikes = np.array_equal(ref.s.data, got.s.data)
+                yield (f"(T={T}, N={n}, seed={seed}, kind={kind}, "
+                       f"max|dH|={dh:.3g}, spikes_equal={same_spikes})"
+                       if dh > H_ATOL or not same_spikes else None)
 
 
 # T=40 runs the forward charge as matmul's block-banded product (five row
@@ -162,45 +168,37 @@ def suite_psn_subsumption(t_values=range(1, 65), num_seeds=5, N=32):
 _BANDED_T, _BANDED_ORDERS = 40, (1, 4, 39)
 
 
+@_suite("mask-causality")
 def suite_mask_causality(max_T=8, num_seeds=3, N=4, delta=0.75):
     """The band predicate, and zero leakage outside it at full masking."""
-
-    def body():
-        cases = 0
-        failures = []
-        for T in (*range(1, max_T + 1), _BANDED_T):
-            for k in (range(1, T + 1) if T <= max_T else _BANDED_ORDERS):
-                mask = build_mask(T, k).data
-                t = np.arange(T)[:, None]
-                i = np.arange(T)[None, :]
-                oracle = ((i >= t - k + 1) & (i <= t)).astype(mask.dtype)
-                cases += 1
-                if not np.array_equal(mask, oracle):
-                    failures.append(f"(T={T}, k={k}, mask!=predicate)")
-                    continue
-                for seed in range(num_seeds):
-                    rng = np.random.default_rng([223, T, k, seed])
-                    p = MaskedPSNParams(
-                        Tensor(rng.standard_normal((T, T))),
-                        Tensor(np.ones(T)), k, lam=1.0)
-                    x = rng.standard_normal((T, N))
-                    base = masked_psn_forward(Tensor(x), p).h.data
-                    for t_out in range(T):
-                        lo = t_out - k + 1
-                        for i_in in range(T):
-                            if lo <= i_in <= t_out:
-                                continue
-                            bumped = x.copy()
-                            bumped[i_in] += delta
-                            h = masked_psn_forward(Tensor(bumped), p).h.data
-                            cases += 1
-                            if h[t_out].tobytes() != base[t_out].tobytes():
-                                failures.append(
-                                    f"(T={T}, k={k}, seed={seed}, "
-                                    f"t={t_out}, i={i_in}, leak)")
-        return cases, failures
-
-    return _timed("mask-causality", body)
+    for T in (*range(1, max_T + 1), _BANDED_T):
+        for k in (range(1, T + 1) if T <= max_T else _BANDED_ORDERS):
+            mask = build_mask(T, k).data
+            t = np.arange(T)[:, None]
+            i = np.arange(T)[None, :]
+            oracle = ((i >= t - k + 1) & (i <= t)).astype(mask.dtype)
+            if not np.array_equal(mask, oracle):
+                yield f"(T={T}, k={k}, mask!=predicate)"
+                continue
+            yield None
+            for seed in range(num_seeds):
+                rng = np.random.default_rng([223, T, k, seed])
+                p = MaskedPSNParams(
+                    Tensor(rng.standard_normal((T, T))),
+                    Tensor(np.ones(T)), k, lam=1.0)
+                x = rng.standard_normal((T, N))
+                base = masked_psn_forward(Tensor(x), p).h.data
+                for t_out in range(T):
+                    lo = t_out - k + 1
+                    for i_in in range(T):
+                        if lo <= i_in <= t_out:
+                            continue
+                        bumped = x.copy()
+                        bumped[i_in] += delta
+                        h = masked_psn_forward(Tensor(bumped), p).h.data
+                        leaked = h[t_out].tobytes() != base[t_out].tobytes()
+                        yield (f"(T={T}, k={k}, seed={seed}, t={t_out}, "
+                               f"i={i_in}, leak)" if leaked else None)
 
 
 def _toeplitz_oracle(kernel, T):
@@ -229,38 +227,29 @@ def _conv_charge(kernel, x):
 _SPLIT_T, _SPLIT_ORDERS, _SPLIT_N = 64, (1, 4), 40001
 
 
+@_suite("conv-vs-matmul")
 def suite_conv_vs_matmul(t_values=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
                          num_seeds=5, N=16):
     """The sliding charge against a slid kernel, and the banded matrix
     against brute force."""
-
-    def body():
-        cases = 0
-        failures = []
-        grid = [(T, k, N) for T in t_values for k in (1, 2, 4, 8, T)]
-        grid += [(_SPLIT_T, k, _SPLIT_N) for k in _SPLIT_ORDERS]
-        for T, k, n in grid:
-            for seed in range(num_seeds):
-                rng = np.random.default_rng([227, T, k, seed])
-                p = SlidingPSNParams(
-                    Tensor(rng.standard_normal(k)),
-                    Tensor(np.asarray(1.0)))
-                a = spsn_build_A(p, T).data
-                cases += 1
-                if not np.array_equal(a, _toeplitz_oracle(p.kernel.data, T)):
-                    failures.append(f"(T={T}, k={k}, seed={seed}, "
-                                    f"A!=toeplitz)")
-                    continue
-                x = rng.standard_normal((T, n))
-                h = spsn_forward(Tensor(x), p).h.data
-                cases += 1
-                dh = float(np.abs(h - _conv_charge(p.kernel.data, x)).max())
-                if dh > CONV_ATOL:
-                    failures.append(f"(T={T}, k={k}, N={n}, seed={seed}, "
-                                    f"max|dH|={dh:.3g})")
-        return cases, failures
-
-    return _timed("conv-vs-matmul", body)
+    grid = [(T, k, N) for T in t_values for k in (1, 2, 4, 8, T)]
+    grid += [(_SPLIT_T, k, _SPLIT_N) for k in _SPLIT_ORDERS]
+    for T, k, n in grid:
+        for seed in range(num_seeds):
+            rng = np.random.default_rng([227, T, k, seed])
+            p = SlidingPSNParams(
+                Tensor(rng.standard_normal(k)),
+                Tensor(np.asarray(1.0)))
+            a = spsn_build_A(p, T).data
+            if not np.array_equal(a, _toeplitz_oracle(p.kernel.data, T)):
+                yield f"(T={T}, k={k}, seed={seed}, A!=toeplitz)"
+                continue
+            yield None
+            x = rng.standard_normal((T, n))
+            h = spsn_forward(Tensor(x), p).h.data
+            dh = float(np.abs(h - _conv_charge(p.kernel.data, x)).max())
+            yield (f"(T={T}, k={k}, N={n}, seed={seed}, max|dH|={dh:.3g})"
+                   if dh > CONV_ATOL else None)
 
 
 def _grad_case_builders():
@@ -269,15 +258,20 @@ def _grad_case_builders():
     Every closure is pure in the tensor data so it can be re-evaluated for
     finite differences; all randomness is drawn up front.
     """
-    def proj_for(shape, rng):
-        return Tensor(rng.standard_normal(shape))
+    def spike_loss(p, T, N, rng):
+        """A neuron's relaxed spikes under a random projection."""
+        x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
+        proj = Tensor(rng.standard_normal((T, N)))
+        tensors = {"x": x, **{name: getattr(p, name) for name in p.names}}
+        return tensors, lambda: sum_all(mul(
+            p.forward(x, relaxed=True).s, proj))
 
     def linear_case(rng):
         T, N = int(rng.integers(2, 6)), int(rng.integers(1, 4))
         cin, cout = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         layer = LinearLayer(cin, cout, rng, dtype=np.float64)
         x = Tensor(rng.standard_normal((T, N, cin)), requires_grad=True)
-        proj = proj_for((T, N, cout), rng)
+        proj = Tensor(rng.standard_normal((T, N, cout)))
         tensors = {"x": x, "weight": layer.weight, "bias": layer.bias}
         return tensors, lambda: sum_all(mul(layer(x), proj))
 
@@ -286,11 +280,7 @@ def _grad_case_builders():
         p = PSNParams(
             Tensor(rng.standard_normal((T, T)), requires_grad=True),
             Tensor(rng.standard_normal(T) * 0.3, requires_grad=True))
-        x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
-        proj = proj_for((T, N), rng)
-        tensors = {"x": x, "weight": p.weight, "threshold": p.threshold}
-        return tensors, lambda: sum_all(mul(
-            psn_forward(x, p, relaxed=True).s, proj))
+        return spike_loss(p, T, N, rng)
 
     def masked_case(rng, t_range=(2, 7), lam=0.6, banded=False):
         T, N = int(rng.integers(*t_range)), int(rng.integers(1, 4))
@@ -299,11 +289,7 @@ def _grad_case_builders():
             Tensor(rng.standard_normal((T, T)), requires_grad=True),
             Tensor(rng.standard_normal(T) * 0.3, requires_grad=True),
             k, lam=lam)
-        x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
-        proj = proj_for((T, N), rng)
-        tensors = {"x": x, "weight": p.weight, "threshold": p.threshold}
-        return tensors, lambda: sum_all(mul(
-            masked_psn_forward(x, p, relaxed=True).s, proj))
+        return spike_loss(p, T, N, rng)
 
     def spsn_case(rng, t_range=(2, 7), banded=False):
         T, N = int(rng.integers(*t_range)), int(rng.integers(1, 4))
@@ -312,20 +298,13 @@ def _grad_case_builders():
             Tensor(rng.standard_normal(k), requires_grad=True),
             Tensor(np.asarray(rng.standard_normal() * 0.3),
                    requires_grad=True))
-        x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
-        proj = proj_for((T, N), rng)
-        tensors = {"x": x, "kernel": p.kernel, "threshold": p.threshold}
-        return tensors, lambda: sum_all(mul(
-            spsn_forward(x, p, relaxed=True).s, proj))
+        return spike_loss(p, T, N, rng)
 
     def vanilla_case(kind, reset_mode):
         def build(rng):
             T, N = int(rng.integers(2, 7)), int(rng.integers(1, 4))
             p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
-            x = Tensor(rng.standard_normal((T, N)), requires_grad=True)
-            proj = proj_for((T, N), rng)
-            return {"x": x}, lambda: sum_all(mul(
-                p.forward(x, relaxed=True).s, proj))
+            return spike_loss(p, T, N, rng)
 
         return build
 
@@ -347,6 +326,7 @@ def _grad_case_builders():
     }
 
 
+@_suite("grad")
 def suite_grad(instances=20):
     """Analytic gradients against central differences, smooth forward.
 
@@ -355,41 +335,34 @@ def suite_grad(instances=20):
     match finite differences to first order; float64 throughout.
     """
     builders = _grad_case_builders()
-
-    def body():
-        cases = 0
-        failures = []
-        for idx, (name, build) in enumerate(builders.items()):
-            for inst in range(instances):
-                rng = np.random.default_rng([307, idx, inst])
-                tensors, loss_fn = build(rng)
-                with Tape() as tape:
-                    tape.backward(loss_fn())
-                analytic = {key: t.grad.copy() for key, t in tensors.items()}
-                for key, t in tensors.items():
-                    flat = t.data.reshape(-1)
-                    grad = analytic[key].reshape(-1)
-                    cases += 1
-                    for j in range(flat.size):
-                        saved = flat[j]
-                        eps = 1e-6 * max(1.0, abs(saved))
-                        flat[j] = saved + eps
-                        up = float(loss_fn().data)
-                        flat[j] = saved - eps
-                        down = float(loss_fn().data)
-                        flat[j] = saved
-                        fd = (up - down) / (2.0 * eps)
-                        err = abs(fd - grad[j])
-                        tol = GRAD_RTOL * max(abs(fd), abs(grad[j])) + GRAD_ATOL
-                        if err > tol:
-                            failures.append(
-                                f"(case={name}, instance={inst}, param={key}, "
-                                f"coord={j}, analytic={grad[j]:.6g}, "
-                                f"fd={fd:.6g})")
-                            break
-        return cases, failures
-
-    return _timed("grad", body)
+    for idx, (name, build) in enumerate(builders.items()):
+        for inst in range(instances):
+            rng = np.random.default_rng([307, idx, inst])
+            tensors, loss_fn = build(rng)
+            with Tape() as tape:
+                tape.backward(loss_fn())
+            analytic = {key: t.grad.copy() for key, t in tensors.items()}
+            for key, t in tensors.items():
+                flat = t.data.reshape(-1)
+                grad = analytic[key].reshape(-1)
+                failure = None
+                for j in range(flat.size):
+                    saved = flat[j]
+                    eps = 1e-6 * max(1.0, abs(saved))
+                    flat[j] = saved + eps
+                    up = float(loss_fn().data)
+                    flat[j] = saved - eps
+                    down = float(loss_fn().data)
+                    flat[j] = saved
+                    fd = (up - down) / (2.0 * eps)
+                    err = abs(fd - grad[j])
+                    tol = GRAD_RTOL * max(abs(fd), abs(grad[j])) + GRAD_ATOL
+                    if err > tol:
+                        failure = (f"(case={name}, instance={inst}, "
+                                   f"param={key}, coord={j}, "
+                                   f"analytic={grad[j]:.6g}, fd={fd:.6g})")
+                        break
+                yield failure
 
 
 SUITES = {

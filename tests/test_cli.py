@@ -627,6 +627,61 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "FAIL mask-causality" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("error", ["IndexError", "ShapeMismatchError"])
+def test_verify_a_raising_check_fails_its_suite_only(error, tmp_path, capsys,
+                                                     monkeypatch):
+    # The sliding kernel raises at T=24. Its suite fails at that case,
+    # the next suite still runs, the manifest is finished, and the exit is
+    # the failed-suite code: a ShapeMismatchError is no usage error here.
+    from psn import errors
+    from psn.neurons import parallel
+    exc = {"IndexError": IndexError,
+           "ShapeMismatchError": errors.ShapeMismatchError}[error]
+    build = parallel.spsn_build_A
+
+    def raising(p, num_steps):
+        if num_steps == 24:
+            raise exc("injected at T=24")
+        return build(p, num_steps)
+
+    monkeypatch.setattr(parallel, "spsn_build_A", raising)
+    code = _run(["verify", "--suite", "conv-vs-matmul",
+                 "--suite", "mask-causality", "--out-dir", str(tmp_path)])
+    assert code == EXIT_VERIFY_FAIL
+    out = capsys.readouterr().out
+    # T=1..16 make 400 cases; at T=24, k=1, seed 0 the banded matrix
+    # passes and the charge raises.
+    assert (f"FAIL conv-vs-matmul (1 of 402 cases): (raised {error}: "
+            f"injected at T=24)") in out
+    assert "PASS mask-causality" in out
+    manifest = _read_json(tmp_path / "verify-manifest.json")
+    assert manifest["end_time"] is not None
+    assert manifest["results"]["conv-vs-matmul"]["passed"] is False
+    assert manifest["results"]["mask-causality"]["passed"] is True
+
+
+def test_verify_runs_a_repeated_suite_once(tmp_path, monkeypatch):
+    import psn.verify as verify_mod
+    from psn.verify import SuiteResult
+    calls = []
+
+    def stub(name):
+        def run():
+            calls.append(name)
+            return SuiteResult(name=name, passed=True, cases=1)
+        return run
+
+    for name in ("grad", "mask-causality"):
+        monkeypatch.setitem(verify_mod.SUITES, name, stub(name))
+    code = _run(["verify", "--suite", "grad", "--suite", "mask-causality",
+                 "--suite", "grad", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert calls == ["grad", "mask-causality"]
+    manifest = _read_json(tmp_path / "verify-manifest.json")
+    assert manifest["config"]["suites"] == ["grad", "mask-causality"]
+    assert list(manifest["results"]) == ["grad", "mask-causality"]
+
+
 def test_verify_unknown_suite_is_usage_error(tmp_path):
     # argparse rejects it outright: choices are the registry names.
     with pytest.raises(SystemExit) as exc:

@@ -95,7 +95,7 @@ def test_every_kind_rejects_a_non_float_input(kind, taped, dtype):
     T, N = 4, 6
     p = make(kind, T, np.random.default_rng(7), _opts(kind, 2))
     x0 = np.random.default_rng([7, T, N]).standard_normal((T, N))
-    x = Tensor(x0.astype(dtype), requires_grad=taped, dtype=dtype)
+    x = Tensor._make(x0.astype(dtype), taped)
     name = _PUBLIC_FORWARD[kind].__name__
     with Tape() as tape:
         with pytest.raises(ContractError,

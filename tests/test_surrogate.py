@@ -151,7 +151,7 @@ def test_relaxed_forward_is_smooth_step():
 def test_spike_dtype_under_a_wider_threshold(relaxed):
     # Exact spikes take the charge's dtype; relaxed ones, smooth_step of
     # h - threshold, take the difference's.
-    h = Tensor(np.array([-0.5, 0.0, 0.5]), dtype=np.float32)
+    h = Tensor(np.array([-0.5, 0.0, 0.5], np.float32))
     th = Tensor(np.zeros((), np.float64))
     s = heaviside_surrogate(h, th, relaxed=relaxed)
     assert s.data.dtype == (np.float64 if relaxed else np.float32)

@@ -750,7 +750,6 @@ def test_float64_scalars_infer_float64():
     # Python numbers and other dtypes take the float32 default.
     assert Tensor(0.5).data.dtype == np.float32
     assert Tensor(np.int64(3)).data.dtype == np.float32
-    assert Tensor(np.float64(0.5), dtype=np.float32).data.dtype == np.float32
     h = Tensor(np.float64(0.1), requires_grad=True)
     with Tape() as tape:
         tape.backward(sum_all(_scale(h, 3.0)))

@@ -138,6 +138,11 @@ _RESET_SPIKES = (0.0, 1.0, 0.5, 2.0, -0.0, np.nan)
 _RESET_CHARGES = (np.inf, -np.inf, np.nan, -0.0, "subnormal", 1.3, -0.7)
 
 
+def _exact(x, requires_grad=False):
+    """A tensor over x as given: Tensor() would store float16 as float32."""
+    return Tensor._make(x, requires_grad)
+
+
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 def test_exact_hard_reset_is_where_bit_for_bit(dtype):
     tiny = np.finfo(dtype).smallest_subnormal
@@ -146,7 +151,7 @@ def test_exact_hard_reset_is_where_bit_for_bit(dtype):
     h = np.repeat(charges, len(_RESET_SPIKES))
     s = np.tile(np.array(_RESET_SPIKES, dtype=dtype), len(charges))
     p = VanillaNeuronParams(kind="if", reset_mode="hard")
-    out = apply_reset(Tensor(h, dtype=dtype), Tensor(s, dtype=dtype), p).data
+    out = apply_reset(_exact(h), _exact(s), p).data
     want = np.where(s, dtype(0.0), h)
     assert out.dtype == h.dtype
     assert out.base is None
@@ -234,7 +239,7 @@ def _assert_same_bits(got, want):
 
 def _taped(x, p, relaxed=False):
     with Tape() as tape:
-        trace = vanilla_sequence(Tensor(x, requires_grad=True, dtype=x.dtype),
+        trace = vanilla_sequence(_exact(x, requires_grad=True),
                                  p, relaxed=relaxed)
     assert len(tape)
     return trace
@@ -247,7 +252,7 @@ def _taped_no_reset(x, p, relaxed=False):
     lif = p.kind == "lif"
     decay, inv = (1 - 1 / p.tau_m, 1 / p.tau_m) if lif else (1, 1)
     with Tape() as tape:
-        rows = split_rows(Tensor(x, requires_grad=True, dtype=x.dtype))
+        rows = split_rows(_exact(x, requires_grad=True))
         h = [_scale(rows[0], inv)]
         for x_t in rows[1:]:
             h.append(_add(_scale(x_t, inv), _scale(h[-1], decay)))
@@ -263,8 +268,7 @@ def _reference_hard_loop(x, p, relaxed):
     then the fire and reset ops. ``vanilla_sequence``'s one charge op must
     match it."""
     rows = split_rows(x)
-    v = Tensor(np.zeros(rows[0].data.shape, x.data.dtype),
-               dtype=x.data.dtype)
+    v = _exact(np.zeros(rows[0].data.shape, x.data.dtype))
     decay, k = 1 - 1 / p.tau_m, 1 / p.tau_m
     s_rows, h_rows = [], []
     for x_t in rows:
@@ -292,7 +296,7 @@ def test_taped_loop_is_the_reference_loop_bit_for_bit(kind, relaxed, dtype,
     x0 = _serial_input((T, 7), dtype)
     p = VanillaNeuronParams(kind=kind, reset_mode="hard")
     rng = np.random.default_rng([43, T])
-    weights = [Tensor(rng.standard_normal(x0.shape), dtype=dtype)
+    weights = [_exact(rng.standard_normal(x0.shape).astype(dtype))
                for _ in range(2)]
 
     def one_op_charge(x):
@@ -301,7 +305,7 @@ def test_taped_loop_is_the_reference_loop_bit_for_bit(kind, relaxed, dtype,
 
     got = []
     for run in (one_op_charge, lambda x: _reference_hard_loop(x, p, relaxed)):
-        x = Tensor(x0, requires_grad=True, dtype=dtype)
+        x = _exact(x0, requires_grad=True)
         with Tape() as tape:
             s, h = run(x)
             if loss == "sum_all":
@@ -340,7 +344,7 @@ def test_in_place_loop_is_the_taped_loop_bit_for_bit(kind, reset_mode,
     monkeypatch.setattr(vanilla, "_COLS", 8)
     x = _serial_input(shape, dtype)
     p = VanillaNeuronParams(kind=kind, reset_mode=reset_mode)
-    free = p.forward(Tensor(x, dtype=dtype), relaxed=relaxed)
+    free = p.forward(_exact(x), relaxed=relaxed)
     assert free.h.data.dtype == dtype
     taped = _taped if reset_mode == "hard" else _taped_no_reset
     _assert_same_bits(free, taped(x, p, relaxed))
@@ -358,7 +362,7 @@ def test_in_place_loop_keeps_the_taped_loops_nan_signs(kind, dtype):
     x = np.tile(np.stack([nan, nan[::-1]], axis=1), 20)
     assert np.signbit(x[0, ::2]).all() and not np.signbit(x[0, 1::2]).any()
     p = VanillaNeuronParams(kind=kind, reset_mode="hard")
-    _assert_same_bits(vanilla_sequence(Tensor(x, dtype=dtype), p),
+    _assert_same_bits(vanilla_sequence(_exact(x), p),
                       _taped(x, p))
 
 
